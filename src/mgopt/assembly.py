@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import linalg
 from .mesh import (
@@ -159,6 +160,7 @@ class FeOperators:
     f_vec: np.ndarray
     ybar_vec: np.ndarray
     _kff: linalg.Factorization | None = field(default=None, repr=False)
+    _schur_low_rank: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -187,16 +189,31 @@ class FeOperators:
     def kff_factor(self) -> linalg.Factorization:
         """Cached Cholesky-mode factorization of K_FF, shared by all solves."""
         if self._kff is None:
-            c0 = np.asarray(self.data.c0, dtype=float)
-            if self.n_dirichlet == 0 and not np.any(c0 > 0):
+            floating = floating_components(self.mesh, self.data.c0)
+            if floating:
                 raise SingularOperatorError(
-                    "operator not coercive: no Dirichlet nodes and zero potential"
+                    f"operator not coercive: {len(floating)} component(s) with no Dirichlet "
+                    f"node and zero potential; the first holds vertices {floating[0][:8].tolist()}"
                 )
             try:
                 self._kff = linalg.factor(self.K_FF, "cholesky")
             except (linalg.NotPositiveDefiniteError, linalg.SingularMatrixError) as exc:
                 raise SingularOperatorError(f"operator not coercive: {exc}") from exc
         return self._kff
+
+    def schur_low_rank(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached beta-independent blocks of the matched Schur approximation.
+
+        With C = K_FF M_FF^{-1} K_FF, returns the dense n_f x n_D block
+        C^{-1} K_FD and its n_D x n_D Gram matrix K_FD^T C^{-1} K_FD, built
+        once per operator set with the shared K_FF factor.
+        """
+        if self._schur_low_rank is None:
+            kff = self.kff_factor()
+            cinv_kfd = kff.solve(self.M_FF @ kff.solve(self.K_FD.toarray()))
+            # K_DF is K_FD^T exactly: K is assembled symmetric.
+            self._schur_low_rank = (cinv_kfd, self.K_DF @ cinv_kfd)
+        return self._schur_low_rank
 
     def l2_inner(self, a, b) -> float:
         return float(np.asarray(a) @ (self.M @ np.asarray(b)))
@@ -210,6 +227,25 @@ class FeOperators:
 
     def h1_norm(self, v) -> float:
         return float(np.sqrt(self.l2_norm(v) ** 2 + self.h1_seminorm(v) ** 2))
+
+
+def floating_components(mesh: ExtendedMesh, c0) -> list[np.ndarray]:
+    """Vertex sets of the graph components with no Dirichlet vertex and c0 = 0.
+
+    The state operator K = A + M_c0 is singular exactly when such a component
+    exists: constants on it lie in its kernel.  Found from the graph, since a
+    factorization may meet the zero pivot only up to roundoff.
+    """
+    g = mesh.graph
+    edges = np.asarray(g.edges, dtype=int).reshape(-1, 2)
+    adjacency = sp.coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(g.n_vertices, g.n_vertices)
+    )
+    n_comp, labels = csgraph.connected_components(adjacency, directed=False)
+    anchored = np.zeros(n_comp, dtype=bool)
+    anchored[labels[mesh.dirichlet_vertices]] = True
+    anchored[labels[edges[_per_edge(mesh, c0, "c0") > 0, 0]]] = True
+    return [np.flatnonzero(labels == k) for k in np.flatnonzero(~anchored)]
 
 
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:

@@ -15,7 +15,6 @@ from .experiments import (
     eig_probe,
     iteration_study,
     resolve_graph_spec,
-    write_convergence_csv,
 )
 from .mesh import build_mesh
 from .optcontrol import solve_ocp
@@ -48,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser, study: bool) -> None:
                        help="comma-separated regularization weights")
         p.add_argument("--ne", type=_int_list, default=[8, 16, 32, 64],
                        help="comma-separated interval counts per edge")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+        p.add_argument("--jobs", type=int, default=1, help="meshes swept in parallel")
     else:
         p.add_argument("--beta", type=float, default=0.1, help="regularization weight")
         p.add_argument("--ne", type=int, default=64, help="intervals per edge")
@@ -155,7 +154,6 @@ def _cmd_convergence_study(args) -> int:
             f"{r.err_y_l2:12.4e} {eoc(r.eoc_y_l2):>6s} {r.err_y_h1:12.4e} {eoc(r.eoc_y_h1):>6s}"
         )
     if cfg.out:
-        write_convergence_csv(records, cfg.out)
         print(f"wrote {cfg.out}")
     return 0
 

@@ -155,15 +155,17 @@ class IterationStudy:
 
 def iteration_study(cfg: StudyConfig) -> IterationStudy:
     """Iteration counts over the (beta, mesh) sweep, optionally with the
-    unpreconditioned comparison column."""
-    meshes = {}
-    for n_e in cfg.ne_values:
-        mesh = build_mesh(cfg.graph, n_e)
-        meshes[n_e] = build_operators(mesh, cfg.problem_data(cfg.betas[0]))
+    unpreconditioned comparison column.
 
-    def run_cell(key):
-        beta, n_e = key
-        ops = meshes[n_e]
+    The sweep runs mesh by mesh: a mesh is assembled, all of its beta cells
+    share its operators and their cached factor and preconditioner blocks,
+    and they are released before the next mesh is assembled.  With
+    ``jobs > 1`` meshes run in parallel, so at most ``jobs`` meshes are held
+    at once.  Cells are reported beta-major, in the order of ``cfg.betas``
+    and ``cfg.ne_values``.
+    """
+
+    def run_cell(ops, n_e, beta):
         data = cfg.problem_data(beta)
         t0 = time.perf_counter()
         result, kkt, _ = solve_kkt(
@@ -183,15 +185,18 @@ def iteration_study(cfg: StudyConfig) -> IterationStudy:
             plain = gmres(kkt.apply, kkt.rhs, None, tol=cfg.tol, max_it=maxit)
             cell.unprecond_time_s = time.perf_counter() - t1
             cell.unprecond_iterations = plain.iterations if plain.converged else None
-        return key, cell
+        return cell
 
-    keys = [(beta, n_e) for beta in cfg.betas for n_e in cfg.ne_values]
+    def run_mesh(n_e):
+        ops = build_operators(build_mesh(cfg.graph, n_e), cfg.problem_data(cfg.betas[0]))
+        return [run_cell(ops, n_e, beta) for beta in cfg.betas]
+
     if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = dict(pool.map(run_cell, keys))
+        with ThreadPoolExecutor(max_workers=min(cfg.jobs, len(cfg.ne_values))) as pool:
+            by_mesh = list(pool.map(run_mesh, cfg.ne_values))
     else:
-        results = dict(map(run_cell, keys))
-    cells = [results[k] for k in keys]
+        by_mesh = [run_mesh(n_e) for n_e in cfg.ne_values]
+    cells = [column[i] for i in range(len(cfg.betas)) for column in by_mesh]
     study = IterationStudy(cfg, cells)
     if cfg.out:
         study.write_csv(cfg.out)
@@ -326,11 +331,11 @@ def eig_probe(cfg: StudyConfig, kinds=EIG_PROBE_KINDS) -> EigProbeResult:
     """Spectra of the preconditioned KKT operator and of the preconditioned
     mass block, per beta, at dense-probe scale."""
     n_e = cfg.ne_values[0]
-    mesh = build_mesh(cfg.graph, n_e)
+    # The operators do not depend on beta; their cached blocks serve every beta.
+    ops = build_operators(build_mesh(cfg.graph, n_e), cfg.problem_data(cfg.betas[0]))
     entries = []
     for beta in cfg.betas:
         data = cfg.problem_data(beta)
-        ops = build_operators(mesh, data)
         kkt = build_kkt(ops, data)
         dense = kkt.as_dense(cap=cfg.dense_cap)
         dim = dense.shape[0]

@@ -1,4 +1,4 @@
-"""Sparse kernels, factorization-backed solves, and a dense eigenvalue probe.
+"""Factorization-backed sparse solves, a dense eigenvalue probe, MatrixMarket I/O.
 
 Matrices are scipy CSR/CSC throughout; factorizations are complete SuperLU
 decompositions with fill-reducing orderings, computed once and reused.
@@ -14,8 +14,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-SparseMatrix = sp.csr_matrix
-
 
 class NotPositiveDefiniteError(ValueError):
     """A symmetric factorization hit a nonpositive pivot."""
@@ -23,39 +21,6 @@ class NotPositiveDefiniteError(ValueError):
 
 class SingularMatrixError(ValueError):
     """A matrix was structurally or numerically singular."""
-
-
-def spmv(a, x) -> np.ndarray:
-    """Sparse matrix-vector product."""
-    x = np.asarray(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {x.shape}")
-    return a @ x
-
-
-def sp_add(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} + {b.shape}")
-    return (a + b).tocsr()
-
-
-def sp_mul(a, b):
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return (a @ b).tocsr()
-
-
-def transpose(a):
-    return a.T.tocsr()
-
-
-def diag(a) -> np.ndarray:
-    return a.diagonal()
-
-
-def row_lump(a) -> np.ndarray:
-    """Row sums (the standard mass-lumping diagonal)."""
-    return np.asarray(a.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +77,6 @@ def factor(a, kind: str = "cholesky") -> Factorization:
     else:
         raise ValueError(f"unknown factorization kind {kind!r}")
     return Factorization(kind, a.shape[0], lu)
-
-
-def solve(f: Factorization, b) -> np.ndarray:
-    """Solve with a prepared factorization."""
-    return f.solve(b)
 
 
 def dense_eigs(a, cap: int = 2000) -> np.ndarray:

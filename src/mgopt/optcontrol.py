@@ -133,9 +133,6 @@ class Preconditioner:
         self.d_sm = extras.get("d_sm")
         self.d_kdk = extras.get("d_kdk")
         self.n_diag = extras.get("n_diag")
-        self.n2 = extras.get("n2")
-        self.s_m = extras.get("s_m")
-        self.schur_dense = extras.get("schur_dense")
 
     def apply(self, r) -> np.ndarray:
         return self._apply(np.asarray(r, dtype=float))
@@ -196,9 +193,7 @@ def build_preconditioner(
             out[n_f + n_d :] = scipy.linalg.cho_solve(s_fact, r[n_f + n_d :])
             return out
 
-        return Preconditioner(
-            "ideal", n_f, n_d, apply_ideal, symmetric_definite=True, schur_dense=s
-        )
+        return Preconditioner("ideal", n_f, n_d, apply_ideal, symmetric_definite=True)
 
     d_m, d_sm = _mass_diag_schur(ops, beta)
     dsm_fact = linalg.factor(d_sm.tocsc(), "cholesky")
@@ -240,27 +235,24 @@ def build_preconditioner(
     #   S = K_FF M_FF^{-1} K_FF^T + K_FD D_SM^{-1} K_FD^T
     # applied exactly.  The second term has rank n_D, so the inverse follows
     # from the Woodbury identity around C = K_FF M_FF^{-1} K_FF^T, whose own
-    # inverse is an LU solve with K_FF, a multiply by the full M_FF, and an
-    # LU solve with K_FF^T.  A matched-product surrogate (K_FF + N1) M_FF^{-1}
-    # (K_FF^T + N2) overshoots S by O(h^-2) on n_D directions and loses both
-    # beta- and mesh-robustness, so the exact low-rank form is used instead.
-    kff_fact = linalg.factor(ops.K_FF.tocsc(), "lu")
-    m_ff = ops.M_FF
-    w_fd = ops.K_FD.toarray()
-
-    def c_inv(r):
-        return kff_fact.solve(m_ff @ kff_fact.solve(r))
-
-    cinv_w = c_inv(w_fd)
-    capacitance = d_sm.toarray() + w_fd.T @ cinv_w
-    cap_fact = scipy.linalg.lu_factor(capacitance)
+    # inverse is two solves with the shared K_FF factor (K_FF is symmetric)
+    # around a multiply by the full M_FF.  C^{-1} K_FD and K_FD^T C^{-1} K_FD
+    # do not depend on beta and are built once per operator set; only D_SM
+    # and the n_D x n_D capacitance matrix are set up here.  A matched-product
+    # surrogate (K_FF + N1) M_FF^{-1} (K_FF^T + N2) overshoots S by O(h^-2) on
+    # n_D directions and loses both beta- and mesh-robustness, so the exact
+    # low-rank form is used instead.
+    kff_fact = ops.kff_factor()
+    cinv_w, gram = ops.schur_low_rank()
+    m_ff, w_t = ops.M_FF, ops.K_DF  # K_DF is K_FD^T exactly
+    cap_fact = scipy.linalg.lu_factor(d_sm.toarray() + gram)
 
     def apply_nonsym(r):
         out = np.empty_like(r)
         out[:n_f] = r[:n_f] / d_m
         out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
-        t = c_inv(r[n_f + n_d :])
-        out[n_f + n_d :] = t - cinv_w @ scipy.linalg.lu_solve(cap_fact, w_fd.T @ t)
+        t = kff_fact.solve(m_ff @ kff_fact.solve(r[n_f + n_d :]))
+        out[n_f + n_d :] = t - cinv_w @ scipy.linalg.lu_solve(cap_fact, w_t @ t)
         return out
 
     return Preconditioner(

@@ -96,3 +96,10 @@ def random_metric_graph(rng, n_min=4, n_max=12, extra_edges=2, unit_lengths=Fals
     k = int(rng.integers(1, max(2, n // 2) + 1))
     dirichlet = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
     return MetricGraph(base, lengths, dirichlet)
+
+
+def graph_with_floating_triangle(lengths=(1.0,) * 6):
+    """A controlled triangle 0-1-2 (Dirichlet vertex 0) next to a triangle
+    3-4-5 that has no Dirichlet vertex and no edge into the first one."""
+    base = CombinatorialGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (2, 0)), np.ones(6))
+    return MetricGraph(base, np.asarray(lengths, dtype=float), dirichlet_nodes=(0,))

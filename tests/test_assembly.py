@@ -8,6 +8,7 @@ from mgopt.assembly import (
     assemble_mass,
     assemble_stiffness,
     build_operators,
+    floating_components,
     l2_distance_sq,
     partition_blocks,
 )
@@ -15,7 +16,13 @@ from mgopt.graphs import CombinatorialGraph, MetricGraph, graph_laplacian, make_
 from mgopt.linalg import dense_eigs
 from mgopt.mesh import ExtendedMesh, build_mesh
 
-from helpers import element_load, element_mass, element_stiffness, random_metric_graph
+from helpers import (
+    element_load,
+    element_mass,
+    element_stiffness,
+    graph_with_floating_triangle,
+    random_metric_graph,
+)
 
 
 def single_edge(length=1.0, dirichlet=(0, 1)):
@@ -217,6 +224,23 @@ def test_kff_factor_requires_coercivity():
     # a positive potential restores invertibility without Dirichlet nodes
     ops2 = build_operators(mesh, ProblemData(beta=1.0, c0=1.0))
     ops2.kff_factor()
+    # a Dirichlet node elsewhere does not: the floating component's zero
+    # pivot may show up only as a tiny positive one after roundoff
+    lengths = (0.3, 1.7, 0.9, 1.1, 0.45, 2.3)
+    for n_e in (2, 7, 16):
+        mesh = build_mesh(graph_with_floating_triangle(lengths), n_e)
+        ops3 = build_operators(mesh, ProblemData(beta=1.0, c0=0.0))
+        with pytest.raises(SingularOperatorError, match=r"not coercive.*vertices \[3, 4, 5\]"):
+            ops3.kff_factor()
+
+
+def test_floating_components_need_dirichlet_or_potential():
+    mesh = build_mesh(graph_with_floating_triangle(), 3)
+    (floating,) = floating_components(mesh, 0.0)
+    assert floating.tolist() == [3, 4, 5]
+    # a potential on one edge of the floating triangle makes it coercive
+    assert floating_components(mesh, [0.0, 0.0, 0.0, 0.5, 0.0, 0.0]) == []
+    assert floating_components(mesh, [1.0, 1.0, 0.0, 0.0, 0.0, 1.0])[0].tolist() == [3, 4, 5]
 
 
 def test_load_vectors_split():

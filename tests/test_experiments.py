@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mgopt.experiments import (
     resolve_graph_spec,
     write_convergence_csv,
 )
+from mgopt import linalg
 from mgopt.assembly import ProblemData, build_operators
 from mgopt.graphs import MetricGraph, dump_graph_json, make_fdm_L_graph, make_star
 from mgopt.linalg import read_matrix_market
@@ -101,6 +104,35 @@ def test_iteration_study_parallel_matches_serial(tmp_path):
     serial = iteration_study(StudyConfig(**base, jobs=1))
     parallel = iteration_study(StudyConfig(**base, jobs=3))
     assert [c.iterations for c in serial.cells] == [c.iterations for c in parallel.cells]
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_iteration_study_factors_kff_once_per_mesh(monkeypatch, jobs):
+    graph = make_star(4)
+    n_free = build_mesh(graph, 8).n_free
+    kff_factors = []
+    factor = linalg.factor
+
+    def counting_factor(a, kind="cholesky"):
+        if a.shape[0] == n_free:
+            kff_factors.append(kind)
+        return factor(a, kind)
+
+    monkeypatch.setattr(linalg, "factor", counting_factor)
+    cfg = StudyConfig(graph=graph, betas=(1e-2, 1e-3, 1e-4), ne_values=(8,),
+                      include_unpreconditioned=False, jobs=jobs)
+    study = iteration_study(cfg)
+    assert [c.beta for c in study.cells] == [1e-2, 1e-3, 1e-4]
+    assert all(c.iterations is not None for c in study.cells)
+    assert len(kff_factors) == 1
+
+
+def test_iteration_study_cells_stay_beta_major():
+    cfg = StudyConfig(graph=make_star(4), betas=(1e-2, 1e-3), ne_values=(4, 2),
+                      include_unpreconditioned=False)
+    for jobs in (1, 2):
+        cells = iteration_study(replace(cfg, jobs=jobs)).cells
+        assert [(c.beta, c.n_e) for c in cells] == [(1e-2, 4), (1e-2, 2), (1e-3, 4), (1e-3, 2)]
 
 
 def test_iteration_study_unpreconditioned_times_grow():

@@ -6,55 +6,19 @@ from mgopt.linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     dense_eigs,
-    diag,
     factor,
     read_matrix_market,
-    row_lump,
-    solve,
-    sp_add,
-    sp_mul,
-    spmv,
-    transpose,
     write_matrix_market,
 )
 
 from helpers import thomas_solve
 
 
-def test_spmv_identity():
-    x = np.arange(5.0)
-    assert np.array_equal(spmv(sp.identity(5).tocsr(), x), x)
-    with pytest.raises(ValueError, match="mismatch"):
-        spmv(sp.identity(5).tocsr(), np.ones(4))
-
-
-def test_row_lump():
-    a = sp.csr_matrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(row_lump(a), [3.0, 7.0])
-
-
-def test_sp_mul_incidence():
-    e = sp.csr_matrix(np.array([[-1.0], [1.0]]))
-    lap = sp_mul(e, transpose(e)).toarray()
-    assert np.array_equal(lap, [[1.0, -1.0], [-1.0, 1.0]])
-    with pytest.raises(ValueError):
-        sp_mul(e, e)
-
-
-def test_sp_add_and_diag():
-    a = sp.csr_matrix(np.diag([1.0, 2.0]))
-    b = sp.csr_matrix(np.ones((2, 2)))
-    assert np.array_equal(sp_add(a, b).toarray(), [[2.0, 1.0], [1.0, 3.0]])
-    assert np.array_equal(diag(a), [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sp_add(a, sp.csr_matrix((3, 3)))
-
-
 def test_factor_solve_diagonal():
     a = sp.diags(np.arange(1.0, 6.0)).tocsr()
     f = factor(a, "cholesky")
     b = np.ones(5)
-    assert np.allclose(solve(f, b), b / np.arange(1.0, 6.0), rtol=1e-14)
+    assert np.allclose(f.solve(b), b / np.arange(1.0, 6.0), rtol=1e-14)
 
 
 def test_factor_solve_1d_laplacian_vs_thomas():
@@ -64,7 +28,7 @@ def test_factor_solve_1d_laplacian_vs_thomas():
     a = sp.diags([off, main, off], [-1, 0, 1]).tocsr()
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
-    x = solve(factor(a, "cholesky"), b)
+    x = factor(a, "cholesky").solve(b)
     x_ref = thomas_solve(off, main, off, b)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
     assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -115,22 +79,6 @@ def test_matrix_market_round_trip(tmp_path):
     write_matrix_market(path, a)
     back = read_matrix_market(path)
     assert (abs(a - back)).max() <= 1e-14
-
-
-def test_product_associativity_property():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        a = sp.random(6, 4, density=0.5, random_state=int(rng.integers(1e6)), format="csr")
-        b = sp.random(4, 7, density=0.5, random_state=int(rng.integers(1e6)), format="csr")
-        x = rng.standard_normal(7)
-        lhs = spmv(sp_mul(a, b), x)
-        rhs = spmv(a, spmv(b, x))
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
-
-
-def test_transpose_involution():
-    a = sp.random(5, 3, density=0.6, random_state=3, format="csr")
-    assert (transpose(transpose(a)) != a).nnz == 0
 
 
 def test_spd_solve_round_trip():

@@ -3,7 +3,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from mgopt.assembly import ProblemData, build_operators
+from dataclasses import replace
+
+from mgopt.assembly import ProblemData, SingularOperatorError, build_operators
 from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_star
 from mgopt.mesh import build_mesh, nodal_values
 from mgopt.optcontrol import (
@@ -20,7 +22,12 @@ from mgopt.optcontrol import (
 )
 from mgopt.pde import solve_state
 
-from helpers import element_mass, element_stiffness, random_metric_graph
+from helpers import (
+    element_mass,
+    element_stiffness,
+    graph_with_floating_triangle,
+    random_metric_graph,
+)
 
 
 def tiny_star_ops(beta=0.5, c0=1.0, f=1.5, ybar=1.0, n_e=2, leaves=2):
@@ -147,6 +154,44 @@ def test_matched_lumped_diagonal_support():
     for e in range(g.n_edges):
         expected[mesh.interior_dof(e, n_e - 1)] = True
     assert np.array_equal(pc.d_kdk > 0, expected)
+
+
+def test_nonsym_schur_block_matches_dense_inverse():
+    # the third block applies S^{-1} for S = K_FF M_FF^{-1} K_FF + K_FD D_SM^{-1} K_FD^T
+    ops, data = tiny_star_ops(beta=1e-2, leaves=3, n_e=3)
+    pc = build_preconditioner("nonsym", ops, data)
+    k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
+    s = k_ff @ np.linalg.solve(m_ff, k_ff) + k_fd @ np.linalg.solve(pc.d_sm.toarray(), k_fd.T)
+    n_f, n_d = ops.n_free, ops.n_dirichlet
+    r3 = np.random.default_rng(3).standard_normal(n_f)
+    out = pc.apply(np.concatenate([np.zeros(n_f + n_d), r3]))
+    expected = np.linalg.solve(s, r3)
+    assert np.linalg.norm(out[n_f + n_d :] - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert not np.any(out[: n_f + n_d])
+
+
+def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically():
+    # blocks cached on the operators by an earlier beta give the same apply
+    # as blocks built afresh
+    mesh = build_mesh(make_fdm_L_graph(6, n_controls=5, seed=2), 4)
+    first = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    data = replace(first, beta=1e-4)
+    warm = build_operators(mesh, first)
+    build_preconditioner("nonsym", warm, first)
+    block = warm.schur_low_rank()[0]
+    pc_warm = build_preconditioner("nonsym", warm, data)
+    assert warm.schur_low_rank()[0] is block
+    pc_fresh = build_preconditioner("nonsym", build_operators(mesh, first), data)
+    r = np.random.default_rng(5).standard_normal(build_kkt(warm, data).dim)
+    assert np.array_equal(pc_warm.apply(r), pc_fresh.apply(r))
+
+
+def test_nonsym_floating_component_raises_singular_operator():
+    g = graph_with_floating_triangle()
+    for n_e in (2, 7):
+        ops = build_operators(build_mesh(g, n_e), ProblemData(beta=1e-2, c0=0.0, f=1.0, ybar=1.0))
+        with pytest.raises(SingularOperatorError, match=r"vertices \[3, 4, 5\]"):
+            solve_kkt(ops, ops.data, solver="gmres", precon="nonsym")
 
 
 def test_ideal_preconditioner_size_cap():
