@@ -31,6 +31,28 @@ class SingularOperatorError(ValueError):
 
 Blocks = namedtuple("Blocks", ["ff", "fd", "df", "dd"])
 
+# The beta-independent part of the matched nonsymmetric preconditioner:
+# ``gram`` is K_FD^T C^{-1} K_FD (n_D x n_D, C = K_FF M_FF^{-1} K_FF) and
+# ``block`` is the dense n_f x n_D C^{-1} K_FD, or None above the threshold.
+SchurLowRank = namedtuple("SchurLowRank", ["gram", "block"])
+
+# Most controls for which the Woodbury correction of the matched
+# nonsymmetric preconditioner keeps C^{-1} K_FD as a dense n_f x n_D block
+# (one GEMV per apply); beyond it the apply recomputes C^{-1} K_FD z with two
+# more solves with the shared K_FF factor and no n_f x n_D array exists.  The
+# two forms agree to ~1e-15 relative.  The GEMV grows with n_D and the
+# solves do not, and both grow with n_f, so the crossover is a control count.
+# CPU time of one whole apply, dense vs recompute, on fdmL:40 (one BLAS
+# thread, 2-core x86 host, two runs, medians of 10 x 10 applies):
+#   n_f 147k: n_D 12 12.4 vs 20.9 ms; 60 18.8-19.3 vs 20.7-21.4; 80 22.1-22.6
+#             vs 22.8-23.7; 100 24.2-24.4 vs 19.8-23.5; 150 28.0 vs 19.2
+#   n_f  36k: n_D 60 3.9 vs 4.9-5.3 ms; 80 2.9-3.1 vs 3.0-3.7; 100 3.6-4.1
+#             vs 3.4-4.4; 200 6.7 vs 3.2; 400 12.7-14.1 vs 3.8-5.2
+# and on fdmL:10, ne 512 (n_f 66k, n_D 12) 3.8 vs 7.5 ms.  Above the
+# crossover the block would also hold n_f * n_D doubles (118 MB at
+# n_f 147k, n_D 100) for no gain.
+SCHUR_DENSE_MAX_CONTROLS = 80
+
 
 def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
     if np.isscalar(value):
@@ -160,7 +182,7 @@ class FeOperators:
     f_vec: np.ndarray
     ybar_vec: np.ndarray
     _kff: linalg.Factorization | None = field(default=None, repr=False)
-    _schur_low_rank: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _schur_low_rank: SchurLowRank | None = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -186,34 +208,62 @@ class FeOperators:
     def ybar_D(self) -> np.ndarray:
         return self.ybar_vec[self.n_free :]
 
+    def require_coercive(self) -> None:
+        """Raise SingularOperatorError if a graph component has no Dirichlet node and c0 = 0."""
+        floating = floating_components(self.mesh, self.data.c0)
+        if floating:
+            raise SingularOperatorError(
+                f"operator not coercive: {len(floating)} component(s) with no Dirichlet "
+                f"node and zero potential; the first holds vertices {floating[0][:8].tolist()}"
+            )
+
     def kff_factor(self) -> linalg.Factorization:
         """Cached Cholesky-mode factorization of K_FF, shared by all solves."""
         if self._kff is None:
-            floating = floating_components(self.mesh, self.data.c0)
-            if floating:
-                raise SingularOperatorError(
-                    f"operator not coercive: {len(floating)} component(s) with no Dirichlet "
-                    f"node and zero potential; the first holds vertices {floating[0][:8].tolist()}"
-                )
+            self.require_coercive()
             try:
                 self._kff = linalg.factor(self.K_FF, "cholesky")
             except (linalg.NotPositiveDefiniteError, linalg.SingularMatrixError) as exc:
                 raise SingularOperatorError(f"operator not coercive: {exc}") from exc
         return self._kff
 
-    def schur_low_rank(self) -> tuple[np.ndarray, np.ndarray]:
+    def c_solve(self, v) -> np.ndarray:
+        """C^{-1} v for C = K_FF M_FF^{-1} K_FF: two solves with the shared K_FF factor."""
+        kff = self.kff_factor()
+        return kff.solve(self.M_FF @ kff.solve(v))
+
+    def schur_low_rank(self) -> SchurLowRank:
         """Cached beta-independent blocks of the matched Schur approximation.
 
-        With C = K_FF M_FF^{-1} K_FF, returns the dense n_f x n_D block
-        C^{-1} K_FD and its n_D x n_D Gram matrix K_FD^T C^{-1} K_FD, built
-        once per operator set with the shared K_FF factor.
+        Builds the n_D x n_D Gram matrix K_FD^T C^{-1} K_FD one control at a
+        time, each column from one C^{-1} K_FD e_j, and keeps those columns as
+        the dense n_f x n_D block C^{-1} K_FD only for at most
+        ``SCHUR_DENSE_MAX_CONTROLS`` controls.  Built once per operator set.
         """
         if self._schur_low_rank is None:
-            kff = self.kff_factor()
-            cinv_kfd = kff.solve(self.M_FF @ kff.solve(self.K_FD.toarray()))
-            # K_DF is K_FD^T exactly: K is assembled symmetric.
-            self._schur_low_rank = (cinv_kfd, self.K_DF @ cinv_kfd)
+            n_f, n_d = self.n_free, self.n_dirichlet
+            kfd = self.K_FD.tocsc()
+            gram = np.empty((n_d, n_d))
+            block = np.empty((n_f, n_d), order="F") if n_d <= SCHUR_DENSE_MAX_CONTROLS else None
+            column = np.zeros(n_f)
+            for j in range(n_d):
+                rows = kfd.indices[kfd.indptr[j] : kfd.indptr[j + 1]]
+                column[rows] = kfd.data[kfd.indptr[j] : kfd.indptr[j + 1]]
+                c = self.c_solve(column)
+                column[rows] = 0.0
+                # K_DF is K_FD^T exactly: K is assembled symmetric.
+                gram[:, j] = self.K_DF @ c
+                if block is not None:
+                    block[:, j] = c
+            self._schur_low_rank = SchurLowRank(gram, block)
         return self._schur_low_rank
+
+    def cinv_kfd(self, s) -> np.ndarray:
+        """C^{-1} K_FD s: from the cached dense block, or by two more K_FF solves."""
+        block = self.schur_low_rank().block
+        if block is not None:
+            return block @ s
+        return self.c_solve(self.K_FD @ s)
 
     def l2_inner(self, a, b) -> float:
         return float(np.asarray(a) @ (self.M @ np.asarray(b)))

@@ -236,23 +236,23 @@ def build_preconditioner(
     # applied exactly.  The second term has rank n_D, so the inverse follows
     # from the Woodbury identity around C = K_FF M_FF^{-1} K_FF^T, whose own
     # inverse is two solves with the shared K_FF factor (K_FF is symmetric)
-    # around a multiply by the full M_FF.  C^{-1} K_FD and K_FD^T C^{-1} K_FD
-    # do not depend on beta and are built once per operator set; only D_SM
-    # and the n_D x n_D capacitance matrix are set up here.  A matched-product
+    # around a multiply by the full M_FF.  K_FD^T C^{-1} K_FD does not depend
+    # on beta and is built once per operator set, as is C^{-1} K_FD for few
+    # controls (``assembly.SCHUR_DENSE_MAX_CONTROLS``); only D_SM and the
+    # n_D x n_D capacitance matrix are set up here.  A matched-product
     # surrogate (K_FF + N1) M_FF^{-1} (K_FF^T + N2) overshoots S by O(h^-2) on
     # n_D directions and loses both beta- and mesh-robustness, so the exact
     # low-rank form is used instead.
-    kff_fact = ops.kff_factor()
-    cinv_w, gram = ops.schur_low_rank()
-    m_ff, w_t = ops.M_FF, ops.K_DF  # K_DF is K_FD^T exactly
+    gram = ops.schur_low_rank().gram
+    w_t = ops.K_DF  # K_DF is K_FD^T exactly
     cap_fact = scipy.linalg.lu_factor(d_sm.toarray() + gram)
 
     def apply_nonsym(r):
         out = np.empty_like(r)
         out[:n_f] = r[:n_f] / d_m
         out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
-        t = kff_fact.solve(m_ff @ kff_fact.solve(r[n_f + n_d :]))
-        out[n_f + n_d :] = t - cinv_w @ scipy.linalg.lu_solve(cap_fact, w_t @ t)
+        t = ops.c_solve(r[n_f + n_d :])
+        out[n_f + n_d :] = t - ops.cinv_kfd(scipy.linalg.lu_solve(cap_fact, w_t @ t))
         return out
 
     return Preconditioner(
@@ -531,7 +531,12 @@ def solve_kkt(
     max_it: int | None = None,
     dense_cap: int = 2000,
 ):
-    """Build and solve the saddle-point system; returns (result, kkt, preconditioner)."""
+    """Build and solve the saddle-point system; returns (result, kkt, preconditioner).
+
+    Raises SingularOperatorError, naming its vertices, for a graph component
+    with no Dirichlet node and c0 = 0, whatever the preconditioner.
+    """
+    ops.require_coercive()
     kkt = build_kkt(ops, data)
     pc = build_preconditioner(precon, ops, data, dense_cap=dense_cap)
     if max_it is None:

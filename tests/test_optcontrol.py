@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +7,17 @@ import scipy.sparse as sp
 
 from dataclasses import replace
 
-from mgopt.assembly import ProblemData, SingularOperatorError, build_operators
+from mgopt import linalg
+from mgopt.assembly import (
+    SCHUR_DENSE_MAX_CONTROLS,
+    ProblemData,
+    SingularOperatorError,
+    build_operators,
+)
 from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_star
 from mgopt.mesh import build_mesh, nodal_values
 from mgopt.optcontrol import (
+    PRECONDITIONER_KINDS,
     KrylovResult,
     build_kkt,
     build_preconditioner,
@@ -157,41 +166,100 @@ def test_matched_lumped_diagonal_support():
 
 
 def test_nonsym_schur_block_matches_dense_inverse():
-    # the third block applies S^{-1} for S = K_FF M_FF^{-1} K_FF + K_FD D_SM^{-1} K_FD^T
-    ops, data = tiny_star_ops(beta=1e-2, leaves=3, n_e=3)
-    pc = build_preconditioner("nonsym", ops, data)
-    k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
-    s = k_ff @ np.linalg.solve(m_ff, k_ff) + k_fd @ np.linalg.solve(pc.d_sm.toarray(), k_fd.T)
-    n_f, n_d = ops.n_free, ops.n_dirichlet
-    r3 = np.random.default_rng(3).standard_normal(n_f)
-    out = pc.apply(np.concatenate([np.zeros(n_f + n_d), r3]))
-    expected = np.linalg.solve(s, r3)
-    assert np.linalg.norm(out[n_f + n_d :] - expected) <= 1e-10 * np.linalg.norm(expected)
-    assert not np.any(out[: n_f + n_d])
+    # the third block applies S^{-1} for S = K_FF M_FF^{-1} K_FF + K_FD D_SM^{-1} K_FD^T,
+    # with n_D on either side of the dense-block threshold
+    for leaves in (3, SCHUR_DENSE_MAX_CONTROLS + 1):
+        ops, data = tiny_star_ops(beta=1e-2, leaves=leaves, n_e=3)
+        pc = build_preconditioner("nonsym", ops, data)
+        assert (ops.schur_low_rank().block is None) == (leaves > SCHUR_DENSE_MAX_CONTROLS)
+        k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
+        s = k_ff @ np.linalg.solve(m_ff, k_ff) + k_fd @ np.linalg.solve(pc.d_sm.toarray(), k_fd.T)
+        n_f, n_d = ops.n_free, ops.n_dirichlet
+        r3 = np.random.default_rng(3).standard_normal(n_f)
+        out = pc.apply(np.concatenate([np.zeros(n_f + n_d), r3]))
+        expected = np.linalg.solve(s, r3)
+        assert np.linalg.norm(out[n_f + n_d :] - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert not np.any(out[: n_f + n_d])
 
 
-def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically():
-    # blocks cached on the operators by an earlier beta give the same apply
-    # as blocks built afresh
-    mesh = build_mesh(make_fdm_L_graph(6, n_controls=5, seed=2), 4)
+def test_nonsym_gram_matches_dense_product():
+    for leaves in (3, SCHUR_DENSE_MAX_CONTROLS + 1):
+        ops, _ = tiny_star_ops(beta=1e-2, leaves=leaves, n_e=3)
+        low = ops.schur_low_rank()
+        k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
+        c_inv_kfd = np.linalg.solve(k_ff @ np.linalg.solve(m_ff, k_ff), k_fd)
+        expected = k_fd.T @ c_inv_kfd
+        assert np.linalg.norm(low.gram - expected) <= 1e-12 * np.linalg.norm(expected)
+        if low.block is not None:
+            assert low.block.flags.f_contiguous
+            assert np.linalg.norm(low.block - c_inv_kfd) <= 1e-12 * np.linalg.norm(c_inv_kfd)
+
+
+def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically(monkeypatch):
+    # blocks cached on the operators by an earlier beta are reused, with no
+    # further K_FF solve, and give the same apply as blocks built afresh
+    solves = []
+    solve = linalg.Factorization.solve
+    monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
     first = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
     data = replace(first, beta=1e-4)
-    warm = build_operators(mesh, first)
-    build_preconditioner("nonsym", warm, first)
-    block = warm.schur_low_rank()[0]
-    pc_warm = build_preconditioner("nonsym", warm, data)
-    assert warm.schur_low_rank()[0] is block
-    pc_fresh = build_preconditioner("nonsym", build_operators(mesh, first), data)
-    r = np.random.default_rng(5).standard_normal(build_kkt(warm, data).dim)
-    assert np.array_equal(pc_warm.apply(r), pc_fresh.apply(r))
+    for lattice, n_controls in ((6, 5), (12, SCHUR_DENSE_MAX_CONTROLS + 1)):
+        mesh = build_mesh(make_fdm_L_graph(lattice, n_controls=n_controls, seed=2), 3)
+        warm = build_operators(mesh, first)
+        build_preconditioner("nonsym", warm, first)
+        low = warm.schur_low_rank()
+        solves.clear()
+        pc_warm = build_preconditioner("nonsym", warm, data)
+        assert warm.schur_low_rank() is low
+        assert not any(f is warm.kff_factor() for f in solves)
+        pc_fresh = build_preconditioner("nonsym", build_operators(mesh, first), data)
+        r = np.random.default_rng(5).standard_normal(build_kkt(warm, data).dim)
+        assert np.array_equal(pc_warm.apply(r), pc_fresh.apply(r))
 
 
-def test_nonsym_floating_component_raises_singular_operator():
+def test_nonsym_setup_and_apply_pin_kff_solves(monkeypatch):
+    # setup: one C^{-1} K_FD e_j (two single-column K_FF solves) per control;
+    # apply: C^{-1} r, plus C^{-1} K_FD z above the dense-block threshold
+    solves = []
+    solve = linalg.Factorization.solve
+
+    def counting_solve(fact, b):
+        solves.append((fact, np.shape(b)))
+        return solve(fact, b)
+
+    monkeypatch.setattr(linalg.Factorization, "solve", counting_solve)
+    for leaves, apply_solves in ((3, 2), (SCHUR_DENSE_MAX_CONTROLS + 1, 4)):
+        ops, data = tiny_star_ops(beta=1e-2, leaves=leaves, n_e=40)
+        kff = ops.kff_factor()
+        n_f, n_d = ops.n_free, ops.n_dirichlet
+        solves.clear()
+        tracemalloc.start()
+        low = ops.schur_low_rank()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert solves == [(kff, (n_f,))] * (2 * n_d)
+        if apply_solves == 4:
+            assert low.block is None
+            # far below one n_f x n_D array of doubles
+            assert peak < 8 * n_f * n_d / 4
+        else:
+            assert low.block.shape == (n_f, n_d)
+        pc = build_preconditioner("nonsym", ops, data)
+        r = np.random.default_rng(4).standard_normal(2 * n_f + n_d)
+        solves.clear()
+        pc.apply(r)
+        assert sum(f is kff for f, _ in solves) == apply_solves
+
+
+def test_floating_component_raises_singular_operator_for_every_precon():
     g = graph_with_floating_triangle()
     for n_e in (2, 7):
         ops = build_operators(build_mesh(g, n_e), ProblemData(beta=1e-2, c0=0.0, f=1.0, ybar=1.0))
-        with pytest.raises(SingularOperatorError, match=r"vertices \[3, 4, 5\]"):
-            solve_kkt(ops, ops.data, solver="gmres", precon="nonsym")
+        for kind in PRECONDITIONER_KINDS:
+            solvers = ("gmres",) if kind == "matched_nonsymmetric" else ("gmres", "minres")
+            for solver in solvers:
+                with pytest.raises(SingularOperatorError, match=r"vertices \[3, 4, 5\]"):
+                    solve_kkt(ops, ops.data, solver=solver, precon=kind)
 
 
 def test_ideal_preconditioner_size_cap():
