@@ -36,10 +36,8 @@ from .mesh import (
     PiecewiseLinearFunction,
     build_mesh,
     extended_incidence,
-    interior_incidence,
     nodal_values,
     prolong,
-    vertex_incidence,
 )
 from .optcontrol import (
     KktSystem,

@@ -65,7 +65,7 @@ def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
 
 def assemble_stiffness(mesh: ExtendedMesh) -> sp.csr_matrix:
     """Stiffness matrix of the refined graph in global DOF order."""
-    et = extended_incidence(mesh, by_dof=True)
+    et = extended_incidence(mesh)
     w = np.repeat(1.0 / mesh.h_per_edge, mesh.n_intervals)
     return (et @ sp.diags(w) @ et.T).tocsr()
 
@@ -75,7 +75,7 @@ def assemble_mass(mesh: ExtendedMesh, coefficient=1.0) -> sp.csr_matrix:
     c = _per_edge(mesh, coefficient, "coefficient")
     if np.any(c < 0):
         raise ValueError("mass coefficient must be nonnegative")
-    et_abs = abs(extended_incidence(mesh, by_dof=True))
+    et_abs = abs(extended_incidence(mesh))
     w = np.repeat(c * mesh.h_per_edge, mesh.n_intervals)
     b = (et_abs @ sp.diags(w) @ et_abs.T).tocsr()
     return ((b + sp.diags(b.diagonal())) / 6.0).tocsr()

@@ -1,4 +1,4 @@
-"""Extended FE meshes: per-edge grids, global DOF ordering, incidence matrices."""
+"""Extended FE meshes: per-edge grids, global DOF ordering, the extended incidence matrix."""
 
 from __future__ import annotations
 
@@ -48,10 +48,6 @@ class ExtendedMesh:
         return self.n_dof - self.dirichlet_vertices.size
 
     @property
-    def free_dofs(self) -> np.ndarray:
-        return np.arange(self.n_free)
-
-    @property
     def dirichlet_dofs(self) -> np.ndarray:
         return np.arange(self.n_free, self.n_dof)
 
@@ -81,102 +77,12 @@ class ExtendedMesh:
         ne = int(self.n_intervals[e])
         return np.arange(ne + 1) * self.h_per_edge[e]
 
-    def dof_label(self, k: int):
-        """Inverse of the DOF ordering: ('interior', e, j) or ('<type>', vertex)."""
-        if not 0 <= k < self.n_dof:
-            raise ValueError(f"DOF {k} out of range")
-        if k < self.n_interior:
-            e = int(np.searchsorted(self.interior_offsets, k, side="right")) - 1
-            return ("interior", e, k - int(self.interior_offsets[e]) + 1)
-        if k < self.n_interior + self.kirchhoff_vertices.size:
-            return ("kirchhoff", int(self.kirchhoff_vertices[k - self.n_interior]))
-        return ("dirichlet", int(self.dirichlet_vertices[k - self.n_interior - self.kirchhoff_vertices.size]))
-
-    def dof_of_label(self, label) -> int:
-        """Forward DOF ordering, inverse of dof_label."""
-        if label[0] == "interior":
-            return self.interior_dof(label[1], label[2])
-        return int(self.vertex_dof[label[1]])
-
-    def stacked_row_of_dof(self) -> np.ndarray:
-        """Row index of each DOF in the stacked [interior; vertex] incidence order.
-
-        In the stacked order interior rows run head-to-tail within an edge
-        (matching the bidiagonal interval blocks) while the DOF order counts
-        from the tail, so the map reverses each edge's interior block.
-        """
-        out = np.empty(self.n_dof, dtype=int)
-        for e in range(self.graph.n_edges):
-            ne = int(self.n_intervals[e])
-            base = int(self.interior_offsets[e])
-            for j in range(1, ne):
-                out[base + j - 1] = base + (ne - 1 - j)
-        for v in range(self.graph.n_vertices):
-            out[self.vertex_dof[v]] = self.n_interior + v
-        return out
-
 
 def build_mesh(graph: MetricGraph, n_e: int) -> ExtendedMesh:
     """Uniform mesh with n_e intervals on every edge."""
     if n_e < 1:
         raise ValueError("n_e must be at least 1")
     return ExtendedMesh(graph, np.full(graph.n_edges, n_e, dtype=int))
-
-
-def interior_incidence(mesh: ExtendedMesh) -> sp.csr_matrix:
-    """Block-diagonal interior incidence: one bidiagonal (n_e-1) x n_e block per edge."""
-    rows, cols, data = [], [], []
-    for e in range(mesh.graph.n_edges):
-        ne = int(mesh.n_intervals[e])
-        rbase = int(mesh.interior_offsets[e])
-        cbase = int(mesh.interval_offsets[e])
-        for r in range(ne - 1):
-            rows.extend((rbase + r, rbase + r))
-            cols.extend((cbase + r, cbase + r + 1))
-            data.extend((-1.0, 1.0))
-    shape = (mesh.n_interior, int(mesh.interval_offsets[-1]))
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-
-
-def vertex_incidence(mesh: ExtendedMesh) -> sp.csr_matrix:
-    """Vertex part of the extended incidence matrix.
-
-    For edge e the width-n_e column block carries the head (+1 in the
-    incidence matrix) in its first column and the tail (-1) in its last,
-    so that every column of the stacked extended matrix has exactly one
-    +1 and one -1.
-    """
-    rows, cols, data = [], [], []
-    for e, (tail, head) in enumerate(mesh.graph.edges):
-        ne = int(mesh.n_intervals[e])
-        cbase = int(mesh.interval_offsets[e])
-        rows.extend((head, tail))
-        cols.extend((cbase, cbase + ne - 1))
-        data.extend((1.0, -1.0))
-    shape = (mesh.graph.n_vertices, int(mesh.interval_offsets[-1]))
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
-
-
-def extended_incidence(mesh: ExtendedMesh, by_dof: bool = False) -> sp.csr_matrix:
-    """Extended incidence matrix of the refined graph.
-
-    With ``by_dof=False`` returns the stacked [interior; vertex] form; with
-    ``by_dof=True`` rows are permuted into the global DOF order (the form all
-    operators are assembled in).  Column k of the by-dof form is the k-th
-    interval counted from the edge tail.
-    """
-    if not by_dof:
-        return sp.vstack([interior_incidence(mesh), vertex_incidence(mesh)]).tocsr()
-    rows, cols, data = [], [], []
-    for e in range(mesh.graph.n_edges):
-        chain = mesh.edge_node_dofs(e)
-        cbase = int(mesh.interval_offsets[e])
-        for k in range(int(mesh.n_intervals[e])):
-            rows.extend((chain[k], chain[k + 1]))
-            cols.extend((cbase + k, cbase + k))
-            data.extend((-1.0, 1.0))
-    shape = (mesh.n_dof, int(mesh.interval_offsets[-1]))
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,19 +99,44 @@ class PiecewiseLinearFunction:
         object.__setattr__(self, "values", vals)
 
 
+def _interval_index(mesh: ExtendedMesh) -> np.ndarray:
+    """Position of every interval on its edge, counted from the edge tail."""
+    return np.arange(int(mesh.interval_offsets[-1])) - np.repeat(
+        mesh.interval_offsets[:-1], mesh.n_intervals
+    )
+
+
 def interval_end_dofs(mesh: ExtendedMesh) -> tuple[np.ndarray, np.ndarray]:
     """DOFs at the tail-side and head-side end of every interval.
 
     Intervals are in the column order of the extended incidence matrix
-    (edge by edge, counted from the edge tail).
+    (edge by edge, counted from the edge tail).  This is the one map from
+    intervals to DOFs; the incidence matrix, the assembly and the
+    prolongation are all built from it.
     """
     n = mesh.n_intervals
     ends = np.asarray(mesh.graph.edges, dtype=int).reshape(-1, 2)
-    k = np.arange(int(mesh.interval_offsets[-1])) - np.repeat(mesh.interval_offsets[:-1], n)
+    k = _interval_index(mesh)
     interior = np.repeat(mesh.interior_offsets[:-1], n) + k
     tail = np.where(k == 0, np.repeat(mesh.vertex_dof[ends[:, 0]], n), interior - 1)
     head = np.where(k == np.repeat(n - 1, n), np.repeat(mesh.vertex_dof[ends[:, 1]], n), interior)
     return tail, head
+
+
+def extended_incidence(mesh: ExtendedMesh, by_dof: bool = True) -> sp.csr_matrix:
+    """Extended incidence matrix of the refined graph, rows in global DOF order.
+
+    Column k is the k-th interval as ordered by ``interval_end_dofs``: -1 at
+    its tail-side DOF, +1 at its head-side DOF.  ``by_dof`` is kept for
+    callers that pass ``by_dof=True``; the row order is always the DOF order.
+    """
+    if not by_dof:
+        raise ValueError("the extended incidence matrix is built in DOF order only (by_dof=True)")
+    tail, head = interval_end_dofs(mesh)
+    rows = np.column_stack((tail, head)).ravel()
+    cols = np.repeat(np.arange(tail.size), 2)
+    data = np.tile([-1.0, 1.0], tail.size)
+    return sp.coo_matrix((data, (rows, cols)), shape=(mesh.n_dof, tail.size)).tocsr()
 
 
 def interval_samples(mesh: ExtendedMesh, g) -> tuple[np.ndarray, np.ndarray]:
@@ -270,17 +201,20 @@ def prolong(coarse: PiecewiseLinearFunction, fine_mesh: ExtendedMesh) -> Piecewi
     cmesh = coarse.mesh
     if not same_graph(cmesh.graph, fine_mesh.graph):
         raise ValueError("meshes live on different graphs")
-    ratios = fine_mesh.n_intervals // np.maximum(cmesh.n_intervals, 1)
+    ratios = fine_mesh.n_intervals // cmesh.n_intervals
     if np.any(fine_mesh.n_intervals != ratios * cmesh.n_intervals):
         raise ValueError("fine mesh does not refine the coarse mesh edgewise")
-    out = np.zeros(fine_mesh.n_dof)
-    for e in range(cmesh.graph.n_edges):
-        yc = coarse.values[cmesh.edge_node_dofs(e)]
-        rho = int(ratios[e])
-        fine_dofs = fine_mesh.edge_node_dofs(e)
-        ne_c = int(cmesh.n_intervals[e])
-        for k in range(ne_c):
-            t = np.arange(rho + 1) / rho
-            seg = yc[k] + (yc[k + 1] - yc[k]) * t
-            out[fine_dofs[k * rho : (k + 1) * rho + 1]] = seg
+    # fine interval k of an edge lies in coarse interval k // rho, starting
+    # at the fraction (k % rho) / rho of it
+    rho = np.repeat(ratios, fine_mesh.n_intervals)
+    k = _interval_index(fine_mesh)
+    coarse_col = np.repeat(cmesh.interval_offsets[:-1], fine_mesh.n_intervals) + k // rho
+    c_tail, c_head = interval_end_dofs(cmesh)
+    a = coarse.values[c_tail[coarse_col]]
+    b = coarse.values[c_head[coarse_col]]
+    out = np.empty(fine_mesh.n_dof)
+    # every interior DOF is the tail of one fine interval; vertex DOFs are
+    # then copied so that they keep the coarse vertex values exactly
+    out[interval_end_dofs(fine_mesh)[0]] = a + (b - a) * ((k % rho) / rho)
+    out[fine_mesh.vertex_dof] = coarse.values[cmesh.vertex_dof]
     return PiecewiseLinearFunction(fine_mesh, out)

@@ -572,10 +572,12 @@ def solve_ocp(
     t0 = time.perf_counter()
     mesh = build_mesh(graph, n_e)
     ops = build_operators(mesh, data)
-    return solve_ocp_assembled(
-        ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it,
-        dense_cap=dense_cap, _t0=t0,
+    sol = solve_ocp_assembled(
+        ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it, dense_cap=dense_cap
     )
+    # count mesh and assembly time too
+    sol.stats.elapsed = time.perf_counter() - t0
+    return sol
 
 
 def solve_ocp_assembled(
@@ -586,10 +588,9 @@ def solve_ocp_assembled(
     tol: float = 1e-8,
     max_it: int | None = None,
     dense_cap: int = 2000,
-    _t0: float | None = None,
 ) -> OcpSolution:
     """Solve on prebuilt operators (used by parameter sweeps to share assembly)."""
-    t0 = time.perf_counter() if _t0 is None else _t0
+    t0 = time.perf_counter()
     result, kkt, pc = solve_kkt(
         ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it, dense_cap=dense_cap
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgopt.assembly import (
     ProblemData,
@@ -167,21 +169,36 @@ def test_partition_transpose_consistency():
     assert (blocks.df - blocks.fd.T).count_nonzero() == 0
 
 
-def test_formula_matches_elementwise_assembly():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        g = random_metric_graph(rng, n_min=4, n_max=20)
-        n_e = int(rng.choice([1, 2, 4, 8]))
-        mesh = build_mesh(g, n_e)
-        a = assemble_stiffness(mesh).toarray()
-        a_ref = element_stiffness(mesh)
-        scale_a = np.abs(a_ref).max()
-        assert np.abs(a - a_ref).max() <= 1e-14 * scale_a
-        c0 = rng.uniform(0.0, 3.0, g.n_edges)
-        m = assemble_mass(mesh, c0).toarray()
-        m_ref = element_mass(mesh, c0)
-        scale_m = max(np.abs(m_ref).max(), 1e-300)
-        assert np.abs(m - m_ref).max() <= 1e-14 * scale_m
+@st.composite
+def nonuniform_meshes(draw):
+    """A random connected graph, edges in random orientation, meshed with its
+    own interval count on each edge, and a per-edge mass coefficient."""
+    n = draw(st.integers(2, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+    m = len(edges)
+    lengths = draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m))
+    dirichlet = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    counts = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    c0 = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+    base = CombinatorialGraph(n, tuple(edges), np.ones(m))
+    return ExtendedMesh(MetricGraph(base, np.array(lengths), tuple(dirichlet)), counts), np.array(c0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nonuniform_meshes())
+def test_formula_matches_elementwise_assembly(mesh_and_c0):
+    # criterion 1 as a property: E W E^T and the |E| mass formula equal
+    # interval-by-interval assembly on non-uniform per-edge interval counts
+    mesh, c0 = mesh_and_c0
+    a = assemble_stiffness(mesh).toarray()
+    a_ref = element_stiffness(mesh)
+    assert np.abs(a - a_ref).max() <= 1e-14 * np.abs(a_ref).max()
+    m = assemble_mass(mesh, c0).toarray()
+    m_ref = element_mass(mesh, c0)
+    assert np.abs(m - m_ref).max() <= 1e-14 * max(np.abs(m_ref).max(), 1e-300)
 
 
 def test_operators_symmetric_exactly():

@@ -8,15 +8,13 @@ from mgopt.mesh import (
     PiecewiseLinearFunction,
     build_mesh,
     extended_incidence,
-    interior_incidence,
     interval_end_dofs,
     interval_samples,
     nodal_values,
     prolong,
-    vertex_incidence,
 )
 
-from helpers import element_stiffness, random_metric_graph
+from helpers import random_metric_graph
 
 
 def single_edge(length=1.0):
@@ -46,70 +44,27 @@ def test_dof_order_blocks():
     assert mesh.n_free == 10
 
 
-def test_interior_incidence_blocks():
-    assert np.array_equal(
-        interior_incidence(build_mesh(single_edge(), 2)).toarray(), [[-1.0, 1.0]]
-    )
-    assert np.array_equal(
-        interior_incidence(build_mesh(single_edge(), 3)).toarray(),
-        [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]],
-    )
-    two = build_mesh(make_path(3), 2)
-    ei = interior_incidence(two)
-    assert ei.shape == (2, 4)
-    assert np.array_equal(ei.toarray(), [[-1, 1, 0, 0], [0, 0, -1, 1]])
-
-
-def test_vertex_incidence_signs():
-    mesh = build_mesh(single_edge(), 2)
-    ev = vertex_incidence(mesh).toarray()
-    tail, head = mesh.graph.edges[0]
-    assert ev[head, 0] == 1.0
-    assert ev[tail, 1] == -1.0
-
-    star = build_mesh(make_star(3), 2)
-    ev = vertex_incidence(star)
-    assert ev.shape == (4, 6)
-    assert ev.count_nonzero() == 6
+def nonuniform_meshes(rng, count):
+    """Random graphs meshed with a different interval count on each edge."""
+    for _ in range(count):
+        g = random_metric_graph(rng, n_min=3, n_max=10)
+        yield ExtendedMesh(g, rng.integers(1, 6, g.n_edges))
 
 
 def test_extended_incidence_column_signs():
     rng = np.random.default_rng(7)
-    for _ in range(4):
-        mesh = build_mesh(random_metric_graph(rng), int(rng.integers(1, 5)))
-        for by_dof in (False, True):
-            et = extended_incidence(mesh, by_dof=by_dof).tocsc()
-            arr = et.toarray()
-            assert np.all((arr == 0) | (arr == 1) | (arr == -1))
-            assert np.all(arr.sum(axis=0) == 0)
-            assert np.all(np.abs(arr).sum(axis=0) == 2)
-
-
-def test_stiffness_identity_against_elementwise():
-    # the stacked incidence form equals elementwise assembly after the
-    # row map between the two orderings
-    rng = np.random.default_rng(5)
-    graphs = [make_star(4), make_path(5), random_metric_graph(rng)]
-    for g in graphs:
-        mesh = build_mesh(g, 4)
-        et = extended_incidence(mesh)
-        import scipy.sparse as sp
-
-        w = sp.diags(np.repeat(1.0 / mesh.h_per_edge, mesh.n_intervals))
-        stacked = (et @ w @ et.T).toarray()
-        perm = mesh.stacked_row_of_dof()
-        oracle = element_stiffness(mesh)
-        assert np.allclose(stacked[np.ix_(perm, perm)], oracle, rtol=0, atol=1e-14)
-        # and the by-dof assembly path agrees directly
-        assert np.allclose(assemble_stiffness(mesh).toarray(), oracle, rtol=0, atol=1e-14)
-
-
-def test_dof_label_round_trip():
-    mesh = build_mesh(make_star(3), 5)
-    for k in range(mesh.n_dof):
-        assert mesh.dof_of_label(mesh.dof_label(k)) == k
-    with pytest.raises(ValueError):
-        mesh.dof_label(mesh.n_dof)
+    for mesh in nonuniform_meshes(rng, 6):
+        arr = extended_incidence(mesh).toarray()
+        assert arr.shape == (mesh.n_dof, mesh.n_intervals.sum())
+        assert np.all((arr == 0) | (arr == 1) | (arr == -1))
+        assert np.all(arr.sum(axis=0) == 0)
+        assert np.all(np.abs(arr).sum(axis=0) == 2)
+        assert np.array_equal(extended_incidence(mesh, by_dof=True).toarray(), arr)
+    # one edge, three intervals: DOFs 0, 1 interior, 2 the tail, 3 the head
+    arr = extended_incidence(build_mesh(single_edge(), 3)).toarray()
+    assert np.array_equal(arr, [[1, -1, 0], [0, 1, -1], [-1, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="DOF order"):
+        extended_incidence(mesh, by_dof=False)
 
 
 def test_edge_node_positions():
@@ -139,17 +94,28 @@ def test_prolong_hat_function():
     assert np.array_equal(along_edge, [0.0, 0.5, 1.0, 0.5, 0.0])
 
 
+def nested_mesh_pairs(rng, n_coarse, ratio):
+    """(coarse, fine, ratios) pairs: uniform, then coarse counts and ratios per edge."""
+    g = random_metric_graph(rng)
+    yield build_mesh(g, n_coarse), build_mesh(g, n_coarse * ratio), np.full(g.n_edges, ratio)
+    for _ in range(4):
+        g = random_metric_graph(rng, n_min=5, n_max=10)
+        counts = rng.integers(1, 5, g.n_edges)
+        ratios = rng.integers(1, 6, g.n_edges)
+        yield ExtendedMesh(g, counts), ExtendedMesh(g, counts * ratios), ratios
+
+
 def test_prolong_restriction_identity():
     rng = np.random.default_rng(2)
-    g = random_metric_graph(rng)
-    coarse = build_mesh(g, 3)
-    fine = build_mesh(g, 12)
-    vals = rng.standard_normal(coarse.n_dof)
-    out = prolong(PiecewiseLinearFunction(coarse, vals), fine)
-    for e in range(g.n_edges):
-        c_dofs = coarse.edge_node_dofs(e)
-        f_dofs = fine.edge_node_dofs(e)
-        assert np.array_equal(out.values[f_dofs[::4]], vals[c_dofs])
+    for coarse, fine, ratios in nested_mesh_pairs(rng, 3, 4):
+        vals = rng.standard_normal(coarse.n_dof)
+        out = prolong(PiecewiseLinearFunction(coarse, vals), fine)
+        for e in range(coarse.graph.n_edges):
+            c_dofs = coarse.edge_node_dofs(e)
+            f_dofs = fine.edge_node_dofs(e)
+            assert np.array_equal(out.values[f_dofs[:: ratios[e]]], vals[c_dofs])
+        # fine vertex DOFs copy the coarse vertex values exactly
+        assert np.array_equal(out.values[fine.vertex_dof], vals[coarse.vertex_dof])
 
 
 def test_prolong_rejects_non_nested():
@@ -166,31 +132,35 @@ def test_prolong_rejects_non_nested():
 
 def test_prolong_preserves_norms():
     rng = np.random.default_rng(9)
-    g = random_metric_graph(rng)
-    coarse = build_mesh(g, 4)
-    fine = build_mesh(g, 16)
-    vals = rng.standard_normal(coarse.n_dof)
-    out = prolong(PiecewiseLinearFunction(coarse, vals), fine).values
-    a_c, m_c = assemble_stiffness(coarse), assemble_mass(coarse)
-    a_f, m_f = assemble_stiffness(fine), assemble_mass(fine)
-    semi_c = vals @ (a_c @ vals)
-    semi_f = out @ (a_f @ out)
-    l2_c = vals @ (m_c @ vals)
-    l2_f = out @ (m_f @ out)
-    assert abs(semi_c - semi_f) <= 1e-12 * max(semi_c, 1.0)
-    assert abs(l2_c - l2_f) <= 1e-12 * max(l2_c, 1.0)
+    for coarse, fine, _ in nested_mesh_pairs(rng, 4, 4):
+        vals = rng.standard_normal(coarse.n_dof)
+        out = prolong(PiecewiseLinearFunction(coarse, vals), fine).values
+        a_c, m_c = assemble_stiffness(coarse), assemble_mass(coarse)
+        a_f, m_f = assemble_stiffness(fine), assemble_mass(fine)
+        semi_c = vals @ (a_c @ vals)
+        semi_f = out @ (a_f @ out)
+        l2_c = vals @ (m_c @ vals)
+        l2_f = out @ (m_f @ out)
+        assert abs(semi_c - semi_f) <= 1e-12 * max(semi_c, 1.0)
+        assert abs(l2_c - l2_f) <= 1e-12 * max(l2_c, 1.0)
 
 
 def test_interval_end_dofs_match_extended_incidence():
+    # both against the separate edge_node_dofs walk, not against each other
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        g = random_metric_graph(rng, n_min=3, n_max=10)
-        mesh = ExtendedMesh(g, rng.integers(1, 5, g.n_edges))
-        et = extended_incidence(mesh, by_dof=True).toarray()
+    for mesh in nonuniform_meshes(rng, 6):
         tail, head = interval_end_dofs(mesh)
-        cols = np.arange(et.shape[1])
-        assert np.all(et[tail, cols] == -1.0)
-        assert np.all(et[head, cols] == 1.0)
+        walk = [mesh.edge_node_dofs(e) for e in range(mesh.graph.n_edges)]
+        assert np.array_equal(tail, np.concatenate([d[:-1] for d in walk]))
+        assert np.array_equal(head, np.concatenate([d[1:] for d in walk]))
+        et = extended_incidence(mesh).toarray()
+        expected = np.zeros_like(et)
+        col = 0
+        for dofs in walk:
+            for i, j in zip(dofs[:-1], dofs[1:]):
+                expected[i, col], expected[j, col] = -1.0, 1.0
+                col += 1
+        assert np.array_equal(et, expected)
 
 
 def test_interval_samples_keep_each_edge_value():
