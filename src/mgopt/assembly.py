@@ -12,6 +12,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
@@ -30,28 +31,6 @@ class SingularOperatorError(ValueError):
 
 
 Blocks = namedtuple("Blocks", ["ff", "fd", "df", "dd"])
-
-# The beta-independent part of the matched nonsymmetric preconditioner:
-# ``gram`` is K_FD^T C^{-1} K_FD (n_D x n_D, C = K_FF M_FF^{-1} K_FF) and
-# ``block`` is the dense n_f x n_D C^{-1} K_FD, or None above the threshold.
-SchurLowRank = namedtuple("SchurLowRank", ["gram", "block"])
-
-# Most controls for which the Woodbury correction of the matched
-# nonsymmetric preconditioner keeps C^{-1} K_FD as a dense n_f x n_D block
-# (one GEMV per apply); beyond it the apply recomputes C^{-1} K_FD z with two
-# more solves with the shared K_FF factor and no n_f x n_D array exists.  The
-# two forms agree to ~1e-15 relative.  The GEMV grows with n_D and the
-# solves do not, and both grow with n_f, so the crossover is a control count.
-# CPU time of one whole apply, dense vs recompute, on fdmL:40 (one BLAS
-# thread, 2-core x86 host, two runs, medians of 10 x 10 applies):
-#   n_f 147k: n_D 12 12.4 vs 20.9 ms; 60 18.8-19.3 vs 20.7-21.4; 80 22.1-22.6
-#             vs 22.8-23.7; 100 24.2-24.4 vs 19.8-23.5; 150 28.0 vs 19.2
-#   n_f  36k: n_D 60 3.9 vs 4.9-5.3 ms; 80 2.9-3.1 vs 3.0-3.7; 100 3.6-4.1
-#             vs 3.4-4.4; 200 6.7 vs 3.2; 400 12.7-14.1 vs 3.8-5.2
-# and on fdmL:10, ne 512 (n_f 66k, n_D 12) 3.8 vs 7.5 ms.  Above the
-# crossover the block would also hold n_f * n_D doubles (118 MB at
-# n_f 147k, n_D 100) for no gain.
-SCHUR_DENSE_MAX_CONTROLS = 80
 
 
 def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
@@ -174,7 +153,6 @@ class FeOperators:
     K_FF: sp.csr_matrix
     K_FD: sp.csr_matrix
     K_DF: sp.csr_matrix
-    K_DD: sp.csr_matrix
     M_FF: sp.csr_matrix
     M_FD: sp.csr_matrix
     M_DF: sp.csr_matrix
@@ -182,7 +160,7 @@ class FeOperators:
     f_vec: np.ndarray
     ybar_vec: np.ndarray
     _kff: linalg.Factorization | None = field(default=None, repr=False)
-    _schur_low_rank: SchurLowRank | None = field(default=None, repr=False)
+    _condensation: VertexCondensation | None = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -195,10 +173,6 @@ class FeOperators:
     @property
     def f_F(self) -> np.ndarray:
         return self.f_vec[: self.n_free]
-
-    @property
-    def f_D(self) -> np.ndarray:
-        return self.f_vec[self.n_free :]
 
     @property
     def ybar_F(self) -> np.ndarray:
@@ -227,43 +201,11 @@ class FeOperators:
                 raise SingularOperatorError(f"operator not coercive: {exc}") from exc
         return self._kff
 
-    def c_solve(self, v) -> np.ndarray:
-        """C^{-1} v for C = K_FF M_FF^{-1} K_FF: two solves with the shared K_FF factor."""
-        kff = self.kff_factor()
-        return kff.solve(self.M_FF @ kff.solve(v))
-
-    def schur_low_rank(self) -> SchurLowRank:
-        """Cached beta-independent blocks of the matched Schur approximation.
-
-        Builds the n_D x n_D Gram matrix K_FD^T C^{-1} K_FD one control at a
-        time, each column from one C^{-1} K_FD e_j, and keeps those columns as
-        the dense n_f x n_D block C^{-1} K_FD only for at most
-        ``SCHUR_DENSE_MAX_CONTROLS`` controls.  Built once per operator set.
-        """
-        if self._schur_low_rank is None:
-            n_f, n_d = self.n_free, self.n_dirichlet
-            kfd = self.K_FD.tocsc()
-            gram = np.empty((n_d, n_d))
-            block = np.empty((n_f, n_d), order="F") if n_d <= SCHUR_DENSE_MAX_CONTROLS else None
-            column = np.zeros(n_f)
-            for j in range(n_d):
-                rows = kfd.indices[kfd.indptr[j] : kfd.indptr[j + 1]]
-                column[rows] = kfd.data[kfd.indptr[j] : kfd.indptr[j + 1]]
-                c = self.c_solve(column)
-                column[rows] = 0.0
-                # K_DF is K_FD^T exactly: K is assembled symmetric.
-                gram[:, j] = self.K_DF @ c
-                if block is not None:
-                    block[:, j] = c
-            self._schur_low_rank = SchurLowRank(gram, block)
-        return self._schur_low_rank
-
-    def cinv_kfd(self, s) -> np.ndarray:
-        """C^{-1} K_FD s: from the cached dense block, or by two more K_FF solves."""
-        block = self.schur_low_rank().block
-        if block is not None:
-            return block @ s
-        return self.c_solve(self.K_FD @ s)
+    def condensation(self) -> VertexCondensation:
+        """Cached condensed form of K_FF^{-1} K_FD and its Gram matrix; see ``condense``."""
+        if self._condensation is None:
+            self._condensation = condense(self)
+        return self._condensation
 
     def l2_inner(self, a, b) -> float:
         return float(np.asarray(a) @ (self.M @ np.asarray(b)))
@@ -274,9 +216,6 @@ class FeOperators:
     def h1_seminorm(self, v) -> float:
         v = np.asarray(v)
         return float(np.sqrt(max(v @ (self.A @ v), 0.0)))
-
-    def h1_norm(self, v) -> float:
-        return float(np.sqrt(self.l2_norm(v) ** 2 + self.h1_seminorm(v) ** 2))
 
 
 def floating_components(mesh: ExtendedMesh, c0) -> list[np.ndarray]:
@@ -298,6 +237,95 @@ def floating_components(mesh: ExtendedMesh, c0) -> list[np.ndarray]:
     return [np.flatnonzero(labels == k) for k in np.flatnonzero(~anchored)]
 
 
+@dataclass(frozen=True, eq=False)
+class VertexCondensation:
+    """H = K_FF^{-1} K_FD condensed onto the Kirchhoff vertices, and H^T M_FF H.
+
+    With I the interior DOFs, V the Kirchhoff and D the Dirichlet vertices,
+    W = K_II^{-1} K_IV, Z = K_II^{-1} K_ID, S = K_VV - K_VI W and
+    R = K_VD - K_VI Z: H s = Zf s + Wf S^{-1} R s for the sparse lift
+    [Wf, Zf] = [[-W, Z], [I, 0]].  H is only needed next to M_FF, so
+    ``mass_lift`` keeps M_FF [Wf, Zf].  ``gram`` is H^T M_FF H =
+    K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
+    """
+
+    mass_lift: sp.csr_matrix
+    r: sp.csc_matrix
+    s_factor: linalg.Factorization | None  # None when there is no Kirchhoff vertex
+    gram: np.ndarray
+
+    def _vertex_solve(self, b):
+        return b if self.s_factor is None else self.s_factor.solve(b)
+
+    def mass_h(self, s) -> np.ndarray:
+        """M_FF H s."""
+        return self.mass_lift @ np.concatenate([self._vertex_solve(self.r @ s), s])
+
+    def h_t_mass(self, v) -> np.ndarray:
+        """H^T M_FF v."""
+        t = self.mass_lift.T @ v
+        n_k = self.r.shape[0]
+        return t[n_k:] + self.r.T @ self._vertex_solve(t[:n_k])
+
+
+def condense(ops: FeOperators) -> VertexCondensation:
+    """Static condensation of K_FF^{-1} K_FD onto the Kirchhoff vertices (Kron reduction).
+
+    K_II is tridiagonal with no coupling between edges (the interior DOFs
+    are numbered edge by edge), so one banded solve with the indicators of
+    every edge's first and last interior node gives all end responses.  The
+    Gram matrix is [Y; I]^T B [Y; I] with B = lift^T M_FF lift and
+    Y = S^{-1} R, a block of controls at a time: no K_FF solve, and no dense
+    n_K x n_D array.
+    """
+    ops.require_coercive()
+    mesh = ops.mesh
+    n_i, n_f, n_d = mesh.n_interior, ops.n_free, ops.n_dirichlet
+    n_k = n_f - n_i
+    inner = np.flatnonzero(mesh.n_intervals > 1)
+    first, last = mesh.interior_offsets[inner], mesh.interior_offsets[inner + 1] - 1
+    # columns: every edge's response to a unit load next to its tail, its head
+    ends = np.zeros((n_i, 2))
+    ends[first, 0] = 1.0
+    ends[last, 1] = 1.0
+    if n_i:
+        band = np.vstack([np.append(0.0, ops.K_FF.diagonal(1)[: n_i - 1]), ops.K_FF.diagonal()[:n_i]])
+        # scipy's tridiagonal path fails on a 1 x 1 system: pass the diagonal alone
+        ends = scipy.linalg.solveh_banded(band if n_i > 1 else band[1:], ends, check_finite=False)
+    # Interior row i of the lift holds, in the column of each end of its
+    # edge, that end's coupling to the edge times its response at i; the
+    # -W block carries a minus sign.
+    end_dof = mesh.vertex_dof[np.asarray(mesh.graph.edges, dtype=int).reshape(-1, 2)]
+    coupling = np.zeros(end_dof.shape)
+    if inner.size:
+        coupling[inner, 0] = np.asarray(ops.K[first, end_dof[inner, 0]]).ravel()
+        coupling[inner, 1] = np.asarray(ops.K[last, end_dof[inner, 1]]).ravel()
+    coupling[end_dof < n_f] *= -1.0
+    edge_of = np.repeat(np.arange(len(end_dof)), mesh.n_intervals - 1)
+    data = np.append(coupling[edge_of] * ends, np.ones(n_k))
+    indices = np.append(end_dof[edge_of] - n_i, np.arange(n_k))
+    indptr = np.append(np.arange(0, 2 * n_i, 2), 2 * n_i + np.arange(n_k + 1))
+    lift = sp.csr_matrix((data, indices, indptr), shape=(n_f, n_k + n_d))
+    # the Kirchhoff rows of K_FF times the lift are [S, K_VI Z]
+    vertex_rows = (ops.K_FF[n_i:] @ lift).tocsc()
+    r = (ops.K_FD[n_i:] - vertex_rows[:, n_k:]).tocsc()
+    s_factor = None
+    if n_k:
+        try:
+            s_factor = linalg.factor(vertex_rows[:, :n_k], "cholesky")
+        except linalg.NotPositiveDefiniteError as exc:
+            raise SingularOperatorError(f"operator not coercive: {exc}") from exc
+    cond = VertexCondensation(ops.M_FF @ lift, r, s_factor, np.empty((n_d, n_d)))
+    b = (lift.T @ cond.mass_lift).tocsc()
+    b_vv, b_vd, b_dv, b_dd = b[:n_k, :n_k], b[:n_k, n_k:], b[n_k:, :n_k], b[n_k:, n_k:]
+    for j in range(0, n_d, 64):  # two S solves per block of 64 controls
+        cols = slice(j, min(j + 64, n_d))
+        y = cond._vertex_solve(r[:, cols].toarray())
+        cond.gram[:, cols] = b_dv @ y + b_dd[:, cols].toarray()
+        cond.gram[:, cols] += r.T @ cond._vertex_solve(b_vv @ y + b_vd[:, cols].toarray())
+    return cond
+
+
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
     """Assemble A, M, M_c0, K = A + M_c0, their blocks, and the load vectors."""
     a = assemble_stiffness(mesh)
@@ -316,7 +344,6 @@ def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
         K_FF=kb.ff,
         K_FD=kb.fd,
         K_DF=kb.df,
-        K_DD=kb.dd,
         M_FF=mb.ff,
         M_FD=mb.fd,
         M_DF=mb.df,

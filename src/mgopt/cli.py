@@ -123,7 +123,8 @@ def _cmd_solve(args) -> int:
     s = sol.stats
     print(
         f"n_dof={s.n_dof} iterations={s.iterations} converged={s.converged} "
-        f"residual={s.residual:.3e} optimality={s.optimality_residual:.3e} "
+        f"residual={s.residual:.3e} stop_residual={s.stop_residual:.3e} "
+        f"optimality={s.optimality_residual:.3e} "
         f"objective={s.objective:.6e} time={s.elapsed:.3f}s"
     )
     if args.dump_matrices:

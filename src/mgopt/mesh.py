@@ -48,19 +48,8 @@ class ExtendedMesh:
         return self.n_dof - self.dirichlet_vertices.size
 
     @property
-    def dirichlet_dofs(self) -> np.ndarray:
-        return np.arange(self.n_free, self.n_dof)
-
-    @property
     def h_max(self) -> float:
         return float(self.h_per_edge.max()) if self.h_per_edge.size else 0.0
-
-    def interior_dof(self, e: int, j: int) -> int:
-        """Global DOF of interior node j (1-based) of edge e."""
-        ne = int(self.n_intervals[e])
-        if not 1 <= j <= ne - 1:
-            raise ValueError(f"edge {e} has interior nodes 1..{ne - 1}, got {j}")
-        return int(self.interior_offsets[e]) + j - 1
 
     def edge_node_dofs(self, e: int) -> np.ndarray:
         """DOFs of all grid nodes along edge e, ordered from tail to head."""

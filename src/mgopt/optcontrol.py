@@ -123,16 +123,12 @@ class Preconditioner:
     admissible for MINRES.
     """
 
-    def __init__(self, kind, n_f, n_d, apply_fn, symmetric_definite, **extras):
+    def __init__(self, kind, n_f, n_d, apply_fn, symmetric_definite):
         self.kind = kind
         self.n_f = n_f
         self.n_d = n_d
         self._apply = apply_fn
         self.symmetric_definite = symmetric_definite
-        self.d_m = extras.get("d_m")
-        self.d_sm = extras.get("d_sm")
-        self.d_kdk = extras.get("d_kdk")
-        self.n_diag = extras.get("n_diag")
 
     def apply(self, r) -> np.ndarray:
         return self._apply(np.asarray(r, dtype=float))
@@ -219,51 +215,32 @@ def build_preconditioner(
             out[n_f + n_d :] = g_fact.solve(d_m * g_fact.solve(r[n_f + n_d :]))
             return out
 
-        return Preconditioner(
-            "matched_symmetric",
-            n_f,
-            n_d,
-            apply_sym,
-            symmetric_definite=True,
-            d_m=d_m,
-            d_sm=d_sm,
-            d_kdk=d_kdk,
-            n_diag=n_diag,
-        )
+        return Preconditioner("matched_symmetric", n_f, n_d, apply_sym, symmetric_definite=True)
 
     # matched_nonsymmetric: the GMRES-oriented Schur approximation
     #   S = K_FF M_FF^{-1} K_FF^T + K_FD D_SM^{-1} K_FD^T
     # applied exactly.  The second term has rank n_D, so the inverse follows
-    # from the Woodbury identity around C = K_FF M_FF^{-1} K_FF^T, whose own
-    # inverse is two solves with the shared K_FF factor (K_FF is symmetric)
-    # around a multiply by the full M_FF.  K_FD^T C^{-1} K_FD does not depend
-    # on beta and is built once per operator set, as is C^{-1} K_FD for few
-    # controls (``assembly.SCHUR_DENSE_MAX_CONTROLS``); only D_SM and the
-    # n_D x n_D capacitance matrix are set up here.  A matched-product
-    # surrogate (K_FF + N1) M_FF^{-1} (K_FF^T + N2) overshoots S by O(h^-2) on
-    # n_D directions and loses both beta- and mesh-robustness, so the exact
-    # low-rank form is used instead.
-    gram = ops.schur_low_rank().gram
-    w_t = ops.K_DF  # K_DF is K_FD^T exactly
-    cap_fact = scipy.linalg.lu_factor(d_sm.toarray() + gram)
+    # from the Woodbury identity around C = K_FF M_FF^{-1} K_FF^T.  With
+    # H = K_FF^{-1} K_FD, C^{-1} K_FD = K_FF^{-1} M_FF H, so an apply takes two
+    # solves with the shared K_FF factor.  H comes from the beta-independent
+    # vertex condensation cached on the operators (``assembly.condense``).
+    # A matched-product surrogate (K_FF + N1) M_FF^{-1} (K_FF^T + N2)
+    # overshoots S by O(h^-2) on n_D directions and loses both beta- and
+    # mesh-robustness, so the exact low-rank form is used instead.
+    cond = ops.condensation()
+    kff = ops.kff_factor()
+    cap_fact = scipy.linalg.lu_factor(d_sm.toarray() + cond.gram)
 
     def apply_nonsym(r):
         out = np.empty_like(r)
         out[:n_f] = r[:n_f] / d_m
         out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
-        t = ops.c_solve(r[n_f + n_d :])
-        out[n_f + n_d :] = t - ops.cinv_kfd(scipy.linalg.lu_solve(cap_fact, w_t @ t))
+        y = kff.solve(r[n_f + n_d :])
+        s = scipy.linalg.lu_solve(cap_fact, cond.h_t_mass(y))
+        out[n_f + n_d :] = kff.solve(ops.M_FF @ y - cond.mass_h(s))
         return out
 
-    return Preconditioner(
-        "matched_nonsymmetric",
-        n_f,
-        n_d,
-        apply_nonsym,
-        symmetric_definite=False,
-        d_m=d_m,
-        d_sm=d_sm,
-    )
+    return Preconditioner("matched_nonsymmetric", n_f, n_d, apply_nonsym, symmetric_definite=False)
 
 
 @dataclass(eq=False)
@@ -272,7 +249,10 @@ class KrylovResult:
     iterations: int
     converged: bool
     residuals: np.ndarray
-    true_residual: float
+    true_residual: float  # ||b - A x|| / ||b|| at x
+    # the relative norm the stop compared with tol: the verified true one for
+    # GMRES, the preconditioned one (the last ``residuals`` entry) for MINRES
+    stop_residual: float
 
 
 def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
@@ -294,10 +274,10 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
     k_max = min(max_it, n)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0)
+        return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
     residuals = [1.0]
     if residuals[0] <= tol:
-        return KrylovResult(np.zeros(n), 0, True, np.array(residuals), 1.0)
+        return KrylovResult(np.zeros(n), 0, True, np.array(residuals), 1.0, 1.0)
 
     v = np.zeros((n, k_max + 1), order="F")
     v[:, 0] = b / b_norm
@@ -376,7 +356,7 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
         if true_res is None or final_res < true_res:
             x, true_res = final, final_res
         converged = true_res <= tol
-    return KrylovResult(x, k_used, converged, np.array(residuals), true_res)
+    return KrylovResult(x, k_used, converged, np.array(residuals), true_res, true_res)
 
 
 def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
@@ -405,7 +385,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0)
+        return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
 
     x = np.zeros(n)
     r1 = b.copy()
@@ -415,7 +395,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
         raise ValueError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1_sq)
     if beta1 == 0.0:
-        return KrylovResult(x, 0, True, np.zeros(1), 0.0)
+        return KrylovResult(x, 0, True, np.zeros(1), 0.0, 0.0)
 
     oldb = 0.0
     beta = beta1
@@ -471,7 +451,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
             break
 
     true_res = float(np.linalg.norm(b - np.asarray(apply_a(x))) / b_norm)
-    return KrylovResult(x, iterations, converged, np.array(residuals), true_res)
+    return KrylovResult(x, iterations, converged, np.array(residuals), true_res, float(residuals[-1]))
 
 
 @dataclass(eq=False)
@@ -479,7 +459,8 @@ class SolveStats:
     n_dof: int
     iterations: int
     converged: bool
-    residual: float
+    residual: float  # true relative KKT residual
+    stop_residual: float  # KrylovResult.stop_residual; for MINRES it may sit far below residual
     block_residual: float
     optimality_residual: float
     objective: float
@@ -613,6 +594,7 @@ def solve_ocp_assembled(
         iterations=result.iterations,
         converged=result.converged,
         residual=result.true_residual,
+        stop_residual=result.stop_residual,
         block_residual=block_res,
         optimality_residual=optimality_residual(ops, y_fn, u, p_fn),
         objective=objective_value(ops, y, u),

@@ -17,6 +17,7 @@ from mgopt.assembly import (
 from mgopt.graphs import CombinatorialGraph, MetricGraph, graph_laplacian, make_path, make_star
 from mgopt.linalg import dense_eigs
 from mgopt.mesh import ExtendedMesh, build_mesh
+from mgopt.pde import harmonic_extension
 
 from helpers import (
     element_load,
@@ -96,7 +97,7 @@ def test_load_constant():
 def test_load_hat_function_is_mass_column():
     mesh = build_mesh(single_edge(), 4)
     m = assemble_mass(mesh)
-    k = mesh.interior_dof(0, 2)
+    k = mesh.interior_offsets[0] + 1  # interior node 2 of edge 0
     hat = np.zeros(mesh.n_dof)
     hat[k] = 1.0
 
@@ -201,6 +202,46 @@ def test_formula_matches_elementwise_assembly(mesh_and_c0):
     assert np.abs(m - m_ref).max() <= 1e-14 * max(np.abs(m_ref).max(), 1e-300)
 
 
+@st.composite
+def controlled_meshes(draw):
+    """A ``nonuniform_meshes`` draw with at least one control vertex, which
+    anchors the connected graph also where c0 = 0; sometimes both ends of
+    its first edge are controls, and sometimes c0 vanishes on every edge."""
+    mesh, c0 = draw(nonuniform_meshes())
+    g = mesh.graph
+    dirichlet = set(g.dirichlet_nodes) | {draw(st.integers(0, g.n_vertices - 1))}
+    if draw(st.booleans()):
+        dirichlet |= set(g.edges[0])
+    if draw(st.booleans()):
+        c0 = np.zeros_like(c0)
+    return ExtendedMesh(MetricGraph(g.base, g.lengths, tuple(dirichlet)), mesh.n_intervals), c0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(controlled_meshes())
+def test_condensation_matches_harmonic_extension_and_dense_gram(mesh_and_c0):
+    # H = K_FF^{-1} K_FD from the vertex condensation, which keeps it next to
+    # M_FF: column j of M_FF H is M_FF times minus the free part of the
+    # harmonic extension of control j, H^T M_FF is its transpose, and the
+    # Gram matrix is K_FD^T C^{-1} K_FD with C^{-1} = K_FF^{-1} M_FF K_FF^{-1},
+    # on meshes with one-interval edges, edges between two controls and c0 = 0
+    mesh, c0 = mesh_and_c0
+    ops = build_operators(mesh, ProblemData(beta=1.0, c0=c0))
+    cond = ops.condensation()
+    n_f, n_d = ops.n_free, ops.n_dirichlet
+    controls = np.eye(n_d)
+    mass_h = np.column_stack([cond.mass_h(e) for e in controls])
+    extension = np.column_stack([harmonic_extension(ops, e).values[:n_f] for e in controls])
+    expected_mass_h = -(ops.M_FF @ extension)
+    assert np.linalg.norm(mass_h - expected_mass_h) <= 1e-11 * np.linalg.norm(expected_mass_h)
+    v = np.random.default_rng(n_f).standard_normal(n_f)
+    scale = np.linalg.norm(mass_h) * np.linalg.norm(v)
+    assert np.linalg.norm(cond.h_t_mass(v) - mass_h.T @ v) <= 1e-11 * scale
+    k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
+    expected = k_fd.T @ np.linalg.solve(k_ff, m_ff @ np.linalg.solve(k_ff, k_fd))
+    assert np.linalg.norm(cond.gram - expected) <= 1e-11 * np.linalg.norm(expected)
+
+
 def test_operators_symmetric_exactly():
     rng = np.random.default_rng(4)
     mesh = build_mesh(random_metric_graph(rng), 5)
@@ -265,6 +306,6 @@ def test_load_vectors_split():
     mesh = build_mesh(g, 2)
     data = ProblemData(beta=1.0, c0=0.0, f=1.5, ybar=1.0)
     ops = build_operators(mesh, data)
-    assert np.allclose(np.concatenate([ops.f_F, ops.f_D]), ops.f_vec)
+    assert np.array_equal(ops.f_F, ops.f_vec[: ops.n_free])
     assert abs(ops.f_vec.sum() - 1.5 * g.lengths.sum()) <= 1e-12
     assert abs(ops.ybar_vec.sum() - g.lengths.sum()) <= 1e-12

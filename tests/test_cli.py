@@ -31,7 +31,9 @@ def test_solve_minres_path(capsys):
         ["solve", "--graph", "star:4", "--ne", "8", "--solver", "minres", "--precon", "sym"]
     )
     assert code == 0
-    assert "converged=True" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "converged=True" in out
+    assert "stop_residual=" in out
 
 
 def test_solve_dump_matrices(tmp_path, capsys):

@@ -88,7 +88,7 @@ def test_prolong_hat_function():
     coarse = build_mesh(g, 2)
     fine = build_mesh(g, 4)
     vals = np.zeros(coarse.n_dof)
-    vals[coarse.interior_dof(0, 1)] = 1.0
+    vals[coarse.interior_offsets[0]] = 1.0  # interior node 1 of edge 0
     out = prolong(PiecewiseLinearFunction(coarse, vals), fine)
     along_edge = out.values[fine.edge_node_dofs(0)]
     assert np.array_equal(along_edge, [0.0, 0.5, 1.0, 0.5, 0.0])
@@ -179,8 +179,8 @@ def test_nodal_values_scalar_and_per_edge():
     assert np.all(nodal_values(mesh, 2.5) == 2.5)
     vals = nodal_values(mesh, np.array([1.0, 3.0]))
     # interior nodes carry the edge constant; the shared vertex averages
-    assert vals[mesh.interior_dof(0, 1)] == 1.0
-    assert vals[mesh.interior_dof(1, 1)] == 3.0
+    assert vals[mesh.interior_offsets[0]] == 1.0
+    assert vals[mesh.interior_offsets[1]] == 3.0
     assert vals[mesh.vertex_dof[1]] == 2.0
     assert vals[mesh.vertex_dof[0]] == 1.0
 

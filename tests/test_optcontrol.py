@@ -9,12 +9,11 @@ from dataclasses import replace
 
 from mgopt import linalg
 from mgopt.assembly import (
-    SCHUR_DENSE_MAX_CONTROLS,
     ProblemData,
     SingularOperatorError,
     build_operators,
 )
-from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_star
+from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_path, make_star
 from mgopt.mesh import build_mesh, nodal_values
 from mgopt.optcontrol import (
     PRECONDITIONER_KINDS,
@@ -28,6 +27,7 @@ from mgopt.optcontrol import (
     reduced_oracle,
     solve_kkt,
     solve_ocp,
+    solve_ocp_assembled,
 )
 from mgopt.pde import solve_state
 
@@ -130,22 +130,31 @@ def test_preconditioner_linearity_and_kinds():
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
 
+def matched_diagonals(ops, beta):
+    """D_M, D_SM, the lumped matching diagonal d_kdk and N, rebuilt densely from ops."""
+    d_m = ops.M_FF.diagonal()
+    d_sm = ops.M_DD.toarray() + beta * np.eye(ops.n_dirichlet) - ops.M_DF.toarray() @ (
+        ops.M_FD.toarray() / d_m[:, None]
+    )
+    k_fd = ops.K_FD.toarray()
+    d_kdk = np.maximum(k_fd @ np.linalg.solve(d_sm, k_fd.sum(axis=0)), 0.0)
+    return d_m, d_sm, d_kdk, np.sqrt(d_kdk * d_m)
+
+
 def test_matched_diagonals_beta_scaling():
     # for large beta the control Schur block is dominated by beta*I and the
     # matching diagonal N decays like beta^{-1/2}
     g = make_star(4)
     mesh = build_mesh(g, 4)
 
-    def n_diag(beta):
-        data = ProblemData(beta=beta, c0=1.0)
-        ops = build_operators(mesh, data)
-        return build_preconditioner("matched_symmetric", ops, data)
+    def diagonals(beta):
+        return matched_diagonals(build_operators(mesh, ProblemData(beta=beta, c0=1.0)), beta)
 
-    pc_lo = n_diag(1e3)
-    pc_hi = n_diag(1e5)
-    assert np.abs(pc_hi.d_sm.diagonal() - 1e5).max() <= 1e-3 * 1e5
-    nz = pc_lo.n_diag > 0
-    ratio = pc_lo.n_diag[nz] / pc_hi.n_diag[nz]
+    _, _, _, n_lo = diagonals(1e3)
+    _, d_sm_hi, _, n_hi = diagonals(1e5)
+    assert np.abs(d_sm_hi.diagonal() - 1e5).max() <= 1e-3 * 1e5
+    nz = n_lo > 0
+    ratio = n_lo[nz] / n_hi[nz]
     assert np.allclose(ratio, 10.0, rtol=0.15)
 
 
@@ -156,99 +165,132 @@ def test_matched_lumped_diagonal_support():
     n_e = 4
     mesh = build_mesh(g, n_e)
     data = ProblemData(beta=0.1, c0=1.0)
-    ops = build_operators(mesh, data)
-    pc = build_preconditioner("matched_symmetric", ops, data)
-    assert np.all(pc.d_kdk >= 0.0)
-    expected = np.zeros(ops.n_free, dtype=bool)
-    for e in range(g.n_edges):
-        expected[mesh.interior_dof(e, n_e - 1)] = True
-    assert np.array_equal(pc.d_kdk > 0, expected)
+    _, _, d_kdk, _ = matched_diagonals(build_operators(mesh, data), data.beta)
+    assert np.all(d_kdk >= 0.0)
+    expected = np.zeros(mesh.n_free, dtype=bool)
+    # the last interior node of every edge, next to its Dirichlet leaf
+    expected[mesh.interior_offsets[1:] - 1] = True
+    assert np.array_equal(d_kdk > 0, expected)
+
+
+def test_matched_symmetric_apply_matches_rebuilt_blocks():
+    # the symmetric preconditioner is blkdiag(D_M, D_SM, G D_M^{-1} G)^{-1}
+    # with G = K_FF + N, from the diagonals rebuilt above
+    ops, data = tiny_star_ops(beta=1e-2, leaves=3, n_e=4)
+    d_m, d_sm, _, n_diag = matched_diagonals(ops, data.beta)
+    g = ops.K_FF.toarray() + np.diag(n_diag)
+    n_f, n_d = ops.n_free, ops.n_dirichlet
+    r = np.random.default_rng(6).standard_normal(2 * n_f + n_d)
+    expected = np.concatenate([
+        r[:n_f] / d_m,
+        np.linalg.solve(d_sm, r[n_f : n_f + n_d]),
+        np.linalg.solve(g, d_m * np.linalg.solve(g, r[n_f + n_d :])),
+    ])
+    out = build_preconditioner("sym", ops, data).apply(r)
+    assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_nonsym_schur_block_matches_dense_inverse():
     # the third block applies S^{-1} for S = K_FF M_FF^{-1} K_FF + K_FD D_SM^{-1} K_FD^T,
-    # with n_D on either side of the dense-block threshold
-    for leaves in (3, SCHUR_DENSE_MAX_CONTROLS + 1):
-        ops, data = tiny_star_ops(beta=1e-2, leaves=leaves, n_e=3)
-        pc = build_preconditioner("nonsym", ops, data)
-        assert (ops.schur_low_rank().block is None) == (leaves > SCHUR_DENSE_MAX_CONTROLS)
-        k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
-        s = k_ff @ np.linalg.solve(m_ff, k_ff) + k_fd @ np.linalg.solve(pc.d_sm.toarray(), k_fd.T)
-        n_f, n_d = ops.n_free, ops.n_dirichlet
-        r3 = np.random.default_rng(3).standard_normal(n_f)
-        out = pc.apply(np.concatenate([np.zeros(n_f + n_d), r3]))
-        expected = np.linalg.solve(s, r3)
-        assert np.linalg.norm(out[n_f + n_d :] - expected) <= 1e-10 * np.linalg.norm(expected)
-        assert not np.any(out[: n_f + n_d])
+    # on a lattice with many Kirchhoff vertices
+    data = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(make_fdm_L_graph(6, n_controls=5, seed=2), 3), data)
+    pc = build_preconditioner("nonsym", ops, data)
+    _, d_sm, _, _ = matched_diagonals(ops, data.beta)
+    k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
+    s = k_ff @ np.linalg.solve(m_ff, k_ff) + k_fd @ np.linalg.solve(d_sm, k_fd.T)
+    n_f, n_d = ops.n_free, ops.n_dirichlet
+    r3 = np.random.default_rng(3).standard_normal(n_f)
+    out = pc.apply(np.concatenate([np.zeros(n_f + n_d), r3]))
+    expected = np.linalg.solve(s, r3)
+    assert np.linalg.norm(out[n_f + n_d :] - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert not np.any(out[: n_f + n_d])
 
 
 def test_nonsym_gram_matches_dense_product():
-    for leaves in (3, SCHUR_DENSE_MAX_CONTROLS + 1):
-        ops, _ = tiny_star_ops(beta=1e-2, leaves=leaves, n_e=3)
-        low = ops.schur_low_rank()
+    # 81 controls take two blocks of S solves in the Gram build
+    for lattice, n_controls, n_e in ((6, 5, 3), (12, 81, 2)):
+        g = make_fdm_L_graph(lattice, n_controls=n_controls, seed=2)
+        ops = build_operators(build_mesh(g, n_e), ProblemData(beta=1e-2, c0=2.0))
         k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
-        c_inv_kfd = np.linalg.solve(k_ff @ np.linalg.solve(m_ff, k_ff), k_fd)
-        expected = k_fd.T @ c_inv_kfd
-        assert np.linalg.norm(low.gram - expected) <= 1e-12 * np.linalg.norm(expected)
-        if low.block is not None:
-            assert low.block.flags.f_contiguous
-            assert np.linalg.norm(low.block - c_inv_kfd) <= 1e-12 * np.linalg.norm(c_inv_kfd)
+        expected = k_fd.T @ np.linalg.solve(k_ff @ np.linalg.solve(m_ff, k_ff), k_fd)
+        gram = ops.condensation().gram
+        assert np.linalg.norm(gram - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically(monkeypatch):
-    # blocks cached on the operators by an earlier beta are reused, with no
-    # further K_FF solve, and give the same apply as blocks built afresh
-    solves = []
-    solve = linalg.Factorization.solve
+    # the condensation cached on the operators by an earlier beta is reused,
+    # with no further solve or factorization, and gives the same apply as
+    # one built afresh
+    solves, factors = [], []
+    solve, factor = linalg.Factorization.solve, linalg.factor
     monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
+    monkeypatch.setattr(
+        linalg, "factor", lambda a, kind="cholesky": factors.append(a.shape) or factor(a, kind)
+    )
     first = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
     data = replace(first, beta=1e-4)
-    for lattice, n_controls in ((6, 5), (12, SCHUR_DENSE_MAX_CONTROLS + 1)):
-        mesh = build_mesh(make_fdm_L_graph(lattice, n_controls=n_controls, seed=2), 3)
-        warm = build_operators(mesh, first)
-        build_preconditioner("nonsym", warm, first)
-        low = warm.schur_low_rank()
-        solves.clear()
-        pc_warm = build_preconditioner("nonsym", warm, data)
-        assert warm.schur_low_rank() is low
-        assert not any(f is warm.kff_factor() for f in solves)
-        pc_fresh = build_preconditioner("nonsym", build_operators(mesh, first), data)
-        r = np.random.default_rng(5).standard_normal(build_kkt(warm, data).dim)
-        assert np.array_equal(pc_warm.apply(r), pc_fresh.apply(r))
+    mesh = build_mesh(make_fdm_L_graph(6, n_controls=5, seed=2), 3)
+    warm = build_operators(mesh, first)
+    build_preconditioner("nonsym", warm, first)
+    cond = warm.condensation()
+    solves.clear()
+    factors.clear()
+    pc_warm = build_preconditioner("nonsym", warm, data)
+    assert warm.condensation() is cond
+    assert not any(f is warm.kff_factor() or f is cond.s_factor for f in solves)
+    # only D_SM is factored for the new beta
+    assert factors == [(warm.n_dirichlet, warm.n_dirichlet)]
+    pc_fresh = build_preconditioner("nonsym", build_operators(mesh, first), data)
+    r = np.random.default_rng(5).standard_normal(build_kkt(warm, data).dim)
+    assert np.array_equal(pc_warm.apply(r), pc_fresh.apply(r))
 
 
 def test_nonsym_setup_and_apply_pin_kff_solves(monkeypatch):
-    # setup: one C^{-1} K_FD e_j (two single-column K_FF solves) per control;
-    # apply: C^{-1} r, plus C^{-1} K_FD z above the dense-block threshold
+    # the setup makes no K_FF solve and the apply exactly two, for few and for
+    # many controls; the condensation's traced peak does not grow with n_D
     solves = []
     solve = linalg.Factorization.solve
-
-    def counting_solve(fact, b):
-        solves.append((fact, np.shape(b)))
-        return solve(fact, b)
-
-    monkeypatch.setattr(linalg.Factorization, "solve", counting_solve)
-    for leaves, apply_solves in ((3, 2), (SCHUR_DENSE_MAX_CONTROLS + 1, 4)):
-        ops, data = tiny_star_ops(beta=1e-2, leaves=leaves, n_e=40)
+    monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
+    for n_controls in (3, 81):
+        g = make_fdm_L_graph(12, n_controls=n_controls, seed=4)
+        ops = build_operators(build_mesh(g, 40), ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0))
         kff = ops.kff_factor()
         n_f, n_d = ops.n_free, ops.n_dirichlet
+        assert n_d == n_controls
         solves.clear()
         tracemalloc.start()
-        low = ops.schur_low_rank()
+        ops.condensation()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert solves == [(kff, (n_f,))] * (2 * n_d)
-        if apply_solves == 4:
-            assert low.block is None
-            # far below one n_f x n_D array of doubles
-            assert peak < 8 * n_f * n_d / 4
-        else:
-            assert low.block.shape == (n_f, n_d)
-        pc = build_preconditioner("nonsym", ops, data)
+        pc = build_preconditioner("nonsym", ops, ops.data)
+        assert not any(f is kff for f in solves)
+        # the same bound for both n_D on this mesh: 24 doubles per DOF, where
+        # one n_f x n_D array would take 81 at n_D = 81 (the build reads ~16)
+        assert peak < 8 * 24 * ops.mesh.n_dof
         r = np.random.default_rng(4).standard_normal(2 * n_f + n_d)
         solves.clear()
         pc.apply(r)
-        assert sum(f is kff for f, _ in solves) == apply_solves
+        assert sum(f is kff for f in solves) == 2
+
+
+def test_condensation_without_interior_or_kirchhoff_dofs_solves():
+    # one interval per edge (no interior DOF) and a two-vertex path with
+    # both ends controlled (no Kirchhoff vertex), also with a single
+    # interior DOF, solve and match the oracle
+    data = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    for g, n_e, n_interior, n_kirchhoff in (
+        (make_fdm_L_graph(6, n_controls=5, seed=2), 1, 0, None),
+        (make_path(2), 4, 3, 0),
+        (make_path(2), 2, 1, 0),
+    ):
+        ops = build_operators(build_mesh(g, n_e), data)
+        assert ops.mesh.n_interior == n_interior
+        assert n_kirchhoff is None or ops.n_free - ops.mesh.n_interior == n_kirchhoff
+        sol = solve_ocp(g, n_e, data, tol=1e-10)
+        assert sol.stats.converged
+        u_oracle = reduced_oracle(g, n_e, data)
+        assert np.linalg.norm(sol.u - u_oracle) <= 1e-7 * (1.0 + np.linalg.norm(u_oracle))
 
 
 def test_floating_component_raises_singular_operator_for_every_precon():
@@ -373,6 +415,22 @@ def test_minres_agrees_with_gmres_on_kkt():
     assert res_g.converged and res_m.converged
     diff = np.linalg.norm(res_g.x - res_m.x) / np.linalg.norm(res_g.x)
     assert diff <= 1e-6
+
+
+def test_stop_residual_is_the_norm_each_solver_stops_on():
+    # MINRES stops on the preconditioned residual, its last history entry;
+    # ``residual`` stays the true ||b - A x|| / ||b||.  GMRES stops on the
+    # verified true residual, so both numbers are the same there.
+    ops, data = tiny_star_ops(leaves=3, n_e=8)
+    res, kkt, _ = solve_kkt(ops, data, solver="minres", precon="sym")
+    assert res.converged
+    assert res.stop_residual == res.residuals[-1] <= 1e-8
+    assert res.true_residual == float(np.linalg.norm(kkt.rhs - kkt.apply(res.x)) / np.linalg.norm(kkt.rhs))
+    stats = solve_ocp_assembled(ops, data, solver="minres", precon="sym").stats
+    assert (stats.stop_residual, stats.residual) == (res.stop_residual, res.true_residual)
+    res_g, _, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym")
+    assert res_g.stop_residual == res_g.true_residual <= 1e-8
+    assert solve_ocp_assembled(ops, data).stats.stop_residual == res_g.true_residual
 
 
 def test_minres_requires_spd_preconditioner():
