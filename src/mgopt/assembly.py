@@ -12,8 +12,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse import csgraph
 
 from . import linalg
@@ -192,13 +192,10 @@ class FeOperators:
             )
 
     def kff_factor(self) -> linalg.Factorization:
-        """Cached Cholesky-mode factorization of K_FF, shared by all solves."""
+        """Cached graph factorization of K_FF (see ``GraphFactor``), shared by all solves."""
         if self._kff is None:
             self.require_coercive()
-            try:
-                self._kff = linalg.factor(self.K_FF, "cholesky")
-            except (linalg.NotPositiveDefiniteError, linalg.SingularMatrixError) as exc:
-                raise SingularOperatorError(f"operator not coercive: {exc}") from exc
+            self._kff = linalg.Factorization("graph", self.n_free, factor_graph(self))
         return self._kff
 
     def condensation(self) -> VertexCondensation:
@@ -238,49 +235,45 @@ def floating_components(mesh: ExtendedMesh, c0) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class VertexCondensation:
-    """H = K_FF^{-1} K_FD condensed onto the Kirchhoff vertices, and H^T M_FF H.
+class GraphFactor:
+    """K_FF factored along the graph: the edge chains, then the Kirchhoff vertices.
 
     With I the interior DOFs, V the Kirchhoff and D the Dirichlet vertices,
-    W = K_II^{-1} K_IV, Z = K_II^{-1} K_ID, S = K_VV - K_VI W and
-    R = K_VD - K_VI Z: H s = Zf s + Wf S^{-1} R s for the sparse lift
-    [Wf, Zf] = [[-W, Z], [I, 0]].  H is only needed next to M_FF, so
-    ``mass_lift`` keeps M_FF [Wf, Zf].  ``gram`` is H^T M_FF H =
-    K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
+    K_II is tridiagonal with no coupling between edges (the interior DOFs
+    are numbered edge by edge) and SPD on any mesh, so ``chain`` holds its
+    LAPACK dpttrf factor.  W = K_II^{-1} K_IV and Z = K_II^{-1} K_ID hold
+    the two end responses of every edge; ``lift`` is [[-W, Z], [I, 0]] and
+    ``s_factor`` the Cholesky-mode factor of S = K_VV - K_VI W.  A solve is
+    x_I0 = K_II^{-1} b_I, x_V = S^{-1}(b_V - K_VI x_I0), x_I = x_I0 - W x_V.
     """
 
-    mass_lift: sp.csr_matrix
-    r: sp.csc_matrix
+    chain: tuple | None  # None when there is no interior DOF
+    k_vi: sp.csr_matrix
+    lift: sp.csr_matrix
     s_factor: linalg.Factorization | None  # None when there is no Kirchhoff vertex
-    gram: np.ndarray
 
-    def _vertex_solve(self, b):
+    def vertex_solve(self, b):
         return b if self.s_factor is None else self.s_factor.solve(b)
 
-    def mass_h(self, s) -> np.ndarray:
-        """M_FF H s."""
-        return self.mass_lift @ np.concatenate([self._vertex_solve(self.r @ s), s])
+    def solve(self, b) -> np.ndarray:
+        n_k, n_i = self.k_vi.shape
+        x_i0 = b[:n_i] if self.chain is None else lapack.dpttrs(*self.chain, b[:n_i])[0]
+        y = np.zeros((self.lift.shape[1],) + b.shape[1:])  # zero on the Dirichlet columns
+        y[:n_k] = self.vertex_solve(b[n_i:] - self.k_vi @ x_i0)
+        x = self.lift @ y
+        x[:n_i] += x_i0
+        return x
 
-    def h_t_mass(self, v) -> np.ndarray:
-        """H^T M_FF v."""
-        t = self.mass_lift.T @ v
-        n_k = self.r.shape[0]
-        return t[n_k:] + self.r.T @ self._vertex_solve(t[:n_k])
 
+def factor_graph(ops: FeOperators) -> GraphFactor:
+    """Static condensation of K_FF onto the Kirchhoff vertices (Kron reduction).
 
-def condense(ops: FeOperators) -> VertexCondensation:
-    """Static condensation of K_FF^{-1} K_FD onto the Kirchhoff vertices (Kron reduction).
-
-    K_II is tridiagonal with no coupling between edges (the interior DOFs
-    are numbered edge by edge), so one banded solve with the indicators of
-    every edge's first and last interior node gives all end responses.  The
-    Gram matrix is [Y; I]^T B [Y; I] with B = lift^T M_FF lift and
-    Y = S^{-1} R, a block of controls at a time: no K_FF solve, and no dense
-    n_K x n_D array.
+    One dpttrs solve with the indicators of every edge's first and last
+    interior node gives all end responses, hence the sparse lift; the
+    Kirchhoff rows of K_FF times its first n_K columns are S.
     """
-    ops.require_coercive()
     mesh = ops.mesh
-    n_i, n_f, n_d = mesh.n_interior, ops.n_free, ops.n_dirichlet
+    n_i, n_f = mesh.n_interior, ops.n_free
     n_k = n_f - n_i
     inner = np.flatnonzero(mesh.n_intervals > 1)
     first, last = mesh.interior_offsets[inner], mesh.interior_offsets[inner + 1] - 1
@@ -288,10 +281,12 @@ def condense(ops: FeOperators) -> VertexCondensation:
     ends = np.zeros((n_i, 2))
     ends[first, 0] = 1.0
     ends[last, 1] = 1.0
+    chain = None
     if n_i:
-        band = np.vstack([np.append(0.0, ops.K_FF.diagonal(1)[: n_i - 1]), ops.K_FF.diagonal()[:n_i]])
-        # scipy's tridiagonal path fails on a 1 x 1 system: pass the diagonal alone
-        ends = scipy.linalg.solveh_banded(band if n_i > 1 else band[1:], ends, check_finite=False)
+        # scipy's dpttrf takes exactly n - 1 off-diagonal entries, but one when n = 1
+        off = ops.K_FF.diagonal(1)[: n_i - 1] if n_i > 1 else np.zeros(1)
+        chain = lapack.dpttrf(ops.K_FF.diagonal()[:n_i], off)[:2]
+        ends = lapack.dpttrs(*chain, ends)[0]
     # Interior row i of the lift holds, in the column of each end of its
     # edge, that end's coupling to the edge times its response at i; the
     # -W block carries a minus sign.
@@ -305,24 +300,61 @@ def condense(ops: FeOperators) -> VertexCondensation:
     data = np.append(coupling[edge_of] * ends, np.ones(n_k))
     indices = np.append(end_dof[edge_of] - n_i, np.arange(n_k))
     indptr = np.append(np.arange(0, 2 * n_i, 2), 2 * n_i + np.arange(n_k + 1))
-    lift = sp.csr_matrix((data, indices, indptr), shape=(n_f, n_k + n_d))
-    # the Kirchhoff rows of K_FF times the lift are [S, K_VI Z]
-    vertex_rows = (ops.K_FF[n_i:] @ lift).tocsc()
-    r = (ops.K_FD[n_i:] - vertex_rows[:, n_k:]).tocsc()
+    lift = sp.csr_matrix((data, indices, indptr), shape=(n_f, n_k + ops.n_dirichlet))
     s_factor = None
     if n_k:
         try:
-            s_factor = linalg.factor(vertex_rows[:, :n_k], "cholesky")
+            s_factor = linalg.factor(ops.K_FF[n_i:] @ lift[:, :n_k], "cholesky")
         except linalg.NotPositiveDefiniteError as exc:
             raise SingularOperatorError(f"operator not coercive: {exc}") from exc
-    cond = VertexCondensation(ops.M_FF @ lift, r, s_factor, np.empty((n_d, n_d)))
-    b = (lift.T @ cond.mass_lift).tocsc()
+    return GraphFactor(chain, ops.K_FF[n_i:, :n_i], lift, s_factor)
+
+
+@dataclass(frozen=True, eq=False)
+class VertexCondensation:
+    """H = K_FF^{-1} K_FD condensed onto the Kirchhoff vertices, and H^T M_FF H.
+
+    With the lift [Wf, Zf] and S of the graph factor and R = K_VD - K_VI Z,
+    H s = Zf s + Wf S^{-1} R s.  H is only needed next to M_FF, so
+    ``mass_lift`` keeps M_FF [Wf, Zf].  ``gram`` is H^T M_FF H =
+    K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
+    """
+
+    mass_lift: sp.csr_matrix
+    r: sp.csc_matrix
+    kff: GraphFactor
+    gram: np.ndarray
+
+    def mass_h(self, s) -> np.ndarray:
+        """M_FF H s."""
+        return self.mass_lift @ np.concatenate([self.kff.vertex_solve(self.r @ s), s])
+
+    def h_t_mass(self, v) -> np.ndarray:
+        """H^T M_FF v."""
+        t = self.mass_lift.T @ v
+        n_k = self.r.shape[0]
+        return t[n_k:] + self.r.T @ self.kff.vertex_solve(t[:n_k])
+
+
+def condense(ops: FeOperators) -> VertexCondensation:
+    """Condensed K_FF^{-1} K_FD and its Gram matrix, from the graph factor of K_FF.
+
+    The Gram matrix is [Y; I]^T B [Y; I] with B = lift^T M_FF lift and
+    Y = S^{-1} R, a block of controls at a time: no K_FF solve, and no dense
+    n_K x n_D array.
+    """
+    kff = ops.kff_factor()._lu
+    n_k, n_i = kff.k_vi.shape
+    n_d = ops.n_dirichlet
+    r = (ops.K_FD[n_i:] - kff.k_vi @ kff.lift[:n_i, n_k:]).tocsc()
+    cond = VertexCondensation(ops.M_FF @ kff.lift, r, kff, np.empty((n_d, n_d)))
+    b = (kff.lift.T @ cond.mass_lift).tocsc()
     b_vv, b_vd, b_dv, b_dd = b[:n_k, :n_k], b[:n_k, n_k:], b[n_k:, :n_k], b[n_k:, n_k:]
     for j in range(0, n_d, 64):  # two S solves per block of 64 controls
         cols = slice(j, min(j + 64, n_d))
-        y = cond._vertex_solve(r[:, cols].toarray())
+        y = kff.vertex_solve(r[:, cols].toarray())
         cond.gram[:, cols] = b_dv @ y + b_dd[:, cols].toarray()
-        cond.gram[:, cols] += r.T @ cond._vertex_solve(b_vv @ y + b_vd[:, cols].toarray())
+        cond.gram[:, cols] += r.T @ kff.vertex_solve(b_vv @ y + b_vd[:, cols].toarray())
     return cond
 
 

@@ -1,7 +1,10 @@
 """Factorization-backed sparse solves, a dense eigenvalue probe, MatrixMarket I/O.
 
-Matrices are scipy CSR/CSC throughout; factorizations are complete SuperLU
+Matrices are scipy CSR/CSC throughout.  ``factor`` makes complete SuperLU
 decompositions with fill-reducing orderings, computed once and reused.
+``K_FF`` is not factored here: ``assembly.factor_graph`` factors it along
+the graph, and ``Factorization`` kind ``"graph"`` wraps that solver, so
+every factorization is solved through ``Factorization.solve``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """Complete sparse factorization handle (SPD Cholesky-mode or general LU)."""
+    """Sparse factorization handle: SPD Cholesky-mode or general LU from
+    ``factor``, or ``"graph"`` around any solver object with a ``solve`` method."""
 
     kind: str
     n: int

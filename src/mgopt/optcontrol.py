@@ -197,11 +197,13 @@ def build_preconditioner(
     if kind == "matched_symmetric":
         # Lumped diagonal of K_FD D_SM^{-1} K_FD^T via its row sums.
         d_kdk = ops.K_FD @ dsm_fact.solve(np.asarray(ops.K_FD.sum(axis=0)).ravel())
-        floor = -1e-12 * max(float(np.abs(d_kdk).max()), 1.0)
+        floor = -1e-12 * max(float(np.abs(d_kdk).max(initial=0.0)), 1.0)
         if np.any(d_kdk < floor):
             raise ValueError("lumped Schur matching diagonal has negative entries")
         d_kdk = np.maximum(d_kdk, 0.0)
         n_diag = np.sqrt(d_kdk * d_m)
+        # G stays on SuperLU: eliminated along the graph like K_FF, it rounds
+        # differently and moves the MINRES counts of some benchmark seeds
         g = (ops.K_FF + sp.diags(n_diag)).tocsc()
         try:
             g_fact = linalg.factor(g, "cholesky")
@@ -279,20 +281,22 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
     if residuals[0] <= tol:
         return KrylovResult(np.zeros(n), 0, True, np.array(residuals), 1.0, 1.0)
 
-    v = np.zeros((n, k_max + 1), order="F")
+    # Only written entries are read: the bases column by column, H by its
+    # upper triangle.  np.empty keeps the unused columns out of the resident
+    # set; np.zeros clears all of them when the allocator recycles heap memory.
+    v = np.empty((n, k_max + 1), order="F")
     v[:, 0] = b / b_norm
     # The preconditioned basis is kept so the solution can be combined
     # directly in solution space; mapping V y through P^{-1} instead would
     # amplify roundoff by the spread of the preconditioner block scales.
-    z = np.zeros((n, k_max), order="F") if preconditioned else v
-    h = np.zeros((k_max + 1, k_max))
-    cs = np.zeros(k_max)
-    sn = np.zeros(k_max)
+    z = np.empty((n, k_max), order="F") if preconditioned else v
+    h = np.empty((k_max + 1, k_max), order="F")
+    cs, sn = [], []  # Givens rotations, as Python floats
     g = np.zeros(k_max + 1)
     g[0] = b_norm
 
     def form_solution(k):
-        y = scipy.linalg.solve_triangular(h[:k, :k], g[:k])
+        y = scipy.linalg.solve_triangular(h[:k, :k], g[:k], check_finite=False)
         return z[:, :k] @ y
 
     k_used = 0
@@ -315,20 +319,21 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
         w = w - basis @ corr
         coeffs = coeffs + corr
         h_next = float(np.linalg.norm(w))
-        h[: k + 1, k] = coeffs
-        h[k + 1, k] = h_next
+        # the stored rotations, on Python floats: numpy scalar arithmetic
+        # rounds the same but costs about a microsecond per operation
+        col = coeffs.tolist() + [h_next]
         for i in range(k):
-            t = cs[i] * h[i, k] + sn[i] * h[i + 1, k]
-            h[i + 1, k] = -sn[i] * h[i, k] + cs[i] * h[i + 1, k]
-            h[i, k] = t
-        denom = float(np.hypot(h[k, k], h[k + 1, k]))
+            c, s = cs[i], sn[i]
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s * col[i] + c * col[i + 1]
+        denom = float(np.hypot(col[k], col[k + 1]))
         if denom == 0.0:
-            cs[k], sn[k] = 1.0, 0.0
+            cs.append(1.0)
+            sn.append(0.0)
         else:
-            cs[k] = h[k, k] / denom
-            sn[k] = h[k + 1, k] / denom
-        h[k, k] = denom
-        h[k + 1, k] = 0.0
+            cs.append(col[k] / denom)
+            sn.append(col[k + 1] / denom)
+        col[k], col[k + 1] = denom, 0.0
+        h[: k + 2, k] = col
         g[k + 1] = -sn[k] * g[k]
         g[k] = cs[k] * g[k]
         k_used = k + 1

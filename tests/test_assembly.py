@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,14 @@ from mgopt.assembly import (
     l2_distance_sq,
     partition_blocks,
 )
-from mgopt.graphs import CombinatorialGraph, MetricGraph, graph_laplacian, make_path, make_star
+from mgopt.graphs import (
+    CombinatorialGraph,
+    MetricGraph,
+    graph_laplacian,
+    make_fdm_L_graph,
+    make_path,
+    make_star,
+)
 from mgopt.linalg import dense_eigs
 from mgopt.mesh import ExtendedMesh, build_mesh
 from mgopt.pde import harmonic_extension
@@ -242,6 +250,40 @@ def test_condensation_matches_harmonic_extension_and_dense_gram(mesh_and_c0):
     assert np.linalg.norm(cond.gram - expected) <= 1e-11 * np.linalg.norm(expected)
 
 
+def assert_kff_solves_match_spsolve(ops, seed=0):
+    # 1-D and 2-D right-hand sides against SuperLU, to 1e-10 relative
+    fac = ops.kff_factor()
+    assert fac.kind == "graph"
+    b = np.random.default_rng(seed).standard_normal((ops.n_free, 3))
+    for rhs in (b[:, 0], b):
+        x = fac.solve(rhs)
+        assert x.shape == rhs.shape
+        if ops.n_free:
+            expected = spla.spsolve(ops.K_FF.tocsc(), rhs)
+            assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(controlled_meshes())
+def test_graph_factor_matches_spsolve(mesh_and_c0):
+    mesh, c0 = mesh_and_c0
+    assert_kff_solves_match_spsolve(build_operators(mesh, ProblemData(beta=1.0, c0=c0)))
+
+
+def test_graph_factor_without_interior_single_interior_or_kirchhoff_dofs():
+    for g, n_e, n_interior, n_kirchhoff in (
+        (make_fdm_L_graph(4, n_controls=3, seed=1), 1, 0, None),  # no interior DOF
+        (make_fdm_L_graph(4, n_controls=3, seed=1), 2, None, None),  # one per edge
+        (make_path(2), 2, 1, 0),  # a single interior DOF: dpttrf at n = 1
+        (make_path(2), 5, 4, 0),  # no Kirchhoff vertex
+        (make_path(2), 1, 0, 0),  # no free DOF at all
+    ):
+        mesh = build_mesh(g, n_e)
+        assert n_interior is None or mesh.n_interior == n_interior
+        assert n_kirchhoff is None or mesh.n_free - mesh.n_interior == n_kirchhoff
+        assert_kff_solves_match_spsolve(build_operators(mesh, ProblemData(beta=1.0, c0=0.5)))
+
+
 def test_operators_symmetric_exactly():
     rng = np.random.default_rng(4)
     mesh = build_mesh(random_metric_graph(rng), 5)
@@ -281,7 +323,7 @@ def test_kff_factor_requires_coercivity():
         ops.kff_factor()
     # a positive potential restores invertibility without Dirichlet nodes
     ops2 = build_operators(mesh, ProblemData(beta=1.0, c0=1.0))
-    ops2.kff_factor()
+    assert_kff_solves_match_spsolve(ops2)
     # a Dirichlet node elsewhere does not: the floating component's zero
     # pivot may show up only as a tiny positive one after roundoff
     lengths = (0.3, 1.7, 0.9, 1.1, 0.45, 2.3)

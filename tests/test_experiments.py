@@ -12,7 +12,7 @@ from mgopt.experiments import (
     resolve_graph_spec,
     write_convergence_csv,
 )
-from mgopt import linalg
+from mgopt import assembly, linalg
 from mgopt.assembly import ProblemData, build_operators
 from mgopt.graphs import MetricGraph, dump_graph_json, make_fdm_L_graph, make_star
 from mgopt.linalg import read_matrix_market
@@ -108,23 +108,27 @@ def test_iteration_study_parallel_matches_serial(tmp_path):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_iteration_study_factors_kff_once_per_mesh(monkeypatch, jobs):
+    # one graph factor of K_FF serves every beta of the mesh, and no
+    # SuperLU factor of K_FF is made
     graph = make_star(4)
     n_free = build_mesh(graph, 8).n_free
-    kff_factors = []
-    factor = linalg.factor
+    kff_factors, superlu_kff = [], []
+    factor, factor_graph = linalg.factor, assembly.factor_graph
 
     def counting_factor(a, kind="cholesky"):
         if a.shape[0] == n_free:
-            kff_factors.append(kind)
+            superlu_kff.append(kind)
         return factor(a, kind)
 
     monkeypatch.setattr(linalg, "factor", counting_factor)
+    monkeypatch.setattr(assembly, "factor_graph", lambda ops: kff_factors.append(ops) or factor_graph(ops))
     cfg = StudyConfig(graph=graph, betas=(1e-2, 1e-3, 1e-4), ne_values=(8,),
                       include_unpreconditioned=False, jobs=jobs)
     study = iteration_study(cfg)
     assert [c.beta for c in study.cells] == [1e-2, 1e-3, 1e-4]
     assert all(c.iterations is not None for c in study.cells)
     assert len(kff_factors) == 1
+    assert superlu_kff == []
 
 
 def test_iteration_study_cells_stay_beta_major():

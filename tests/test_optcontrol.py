@@ -238,7 +238,7 @@ def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically(monkeypatch):
     factors.clear()
     pc_warm = build_preconditioner("nonsym", warm, data)
     assert warm.condensation() is cond
-    assert not any(f is warm.kff_factor() or f is cond.s_factor for f in solves)
+    assert not any(f is warm.kff_factor() or f is cond.kff.s_factor for f in solves)
     # only D_SM is factored for the new beta
     assert factors == [(warm.n_dirichlet, warm.n_dirichlet)]
     pc_fresh = build_preconditioner("nonsym", build_operators(mesh, first), data)
@@ -248,18 +248,19 @@ def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically(monkeypatch):
 
 def test_nonsym_setup_and_apply_pin_kff_solves(monkeypatch):
     # the setup makes no K_FF solve and the apply exactly two, for few and for
-    # many controls; the condensation's traced peak does not grow with n_D
+    # many controls; the traced peak of the graph factor and the condensation
+    # does not grow with n_D
     solves = []
     solve = linalg.Factorization.solve
     monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
     for n_controls in (3, 81):
         g = make_fdm_L_graph(12, n_controls=n_controls, seed=4)
         ops = build_operators(build_mesh(g, 40), ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0))
-        kff = ops.kff_factor()
         n_f, n_d = ops.n_free, ops.n_dirichlet
         assert n_d == n_controls
         solves.clear()
         tracemalloc.start()
+        kff = ops.kff_factor()
         ops.condensation()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -291,6 +292,18 @@ def test_condensation_without_interior_or_kirchhoff_dofs_solves():
         assert sol.stats.converged
         u_oracle = reduced_oracle(g, n_e, data)
         assert np.linalg.norm(sol.u - u_oracle) <= 1e-7 * (1.0 + np.linalg.norm(u_oracle))
+
+
+def test_matched_symmetric_without_free_dofs_matches_oracle():
+    # a two-vertex path at one interval has both ends controlled and no free DOF
+    g = make_path(2)
+    data = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    assert build_mesh(g, 1).n_free == 0
+    u_oracle = reduced_oracle(g, 1, data)
+    for solver in ("minres", "gmres"):
+        sol = solve_ocp(g, 1, data, solver=solver, precon="sym", tol=1e-10)
+        assert sol.stats.converged
+        assert np.linalg.norm(sol.u - u_oracle) <= 1e-10 * np.linalg.norm(u_oracle)
 
 
 def test_floating_component_raises_singular_operator_for_every_precon():

@@ -173,3 +173,6 @@ def test_shared_factorization_reused():
     f1 = ops.kff_factor()
     f2 = ops.kff_factor()
     assert f1 is f2
+    # the condensation takes its lift and S factor from the same graph factor
+    assert f1.kind == "graph"
+    assert ops.condensation().kff is f1._lu
