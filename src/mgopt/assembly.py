@@ -148,7 +148,6 @@ class FeOperators:
     data: ProblemData
     A: sp.csr_matrix
     M: sp.csr_matrix
-    M_c0: sp.csr_matrix
     K: sp.csr_matrix
     K_FF: sp.csr_matrix
     K_FD: sp.csr_matrix
@@ -359,11 +358,10 @@ def condense(ops: FeOperators) -> VertexCondensation:
 
 
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
-    """Assemble A, M, M_c0, K = A + M_c0, their blocks, and the load vectors."""
+    """Assemble A, M, K = A + M_c0 (c0-weighted mass, not kept), their blocks, and the loads."""
     a = assemble_stiffness(mesh)
     m = assemble_mass(mesh)
-    m_c0 = assemble_mass(mesh, data.c0)
-    k = (a + m_c0).tocsr()
+    k = (a + assemble_mass(mesh, data.c0)).tocsr()
     kb = partition_blocks(k, mesh)
     mb = partition_blocks(m, mesh)
     return FeOperators(
@@ -371,7 +369,6 @@ def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
         data=data,
         A=a,
         M=m,
-        M_c0=m_c0,
         K=k,
         K_FF=kb.ff,
         K_FD=kb.fd,

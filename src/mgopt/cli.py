@@ -105,7 +105,6 @@ def _study_config(args, include_unpre: bool = True) -> StudyConfig:
         c0=args.c0,
         f=args.f,
         ybar=args.ybar,
-        seed=args.seed,
         jobs=getattr(args, "jobs", 1),
         include_unpreconditioned=include_unpre,
         dense_cap=getattr(args, "dense_cap", 2000),
@@ -166,7 +165,6 @@ def _cmd_eig_probe(args) -> int:
         mags = np.abs(vals) if len(vals) else [0.0]
         print(f"{kind:22s} beta={beta:<8g} n={len(vals):4d} |lambda| in [{min(mags):.4g}, {max(mags):.4g}]")
     if cfg.out:
-        result.write_csv(cfg.out)
         print(f"wrote {cfg.out}")
     return 0
 

@@ -26,6 +26,7 @@ from .graphs import (
 )
 from .mesh import build_mesh, prolong
 from .optcontrol import (
+    PRECONDITIONER_KINDS,
     build_kkt,
     build_preconditioner,
     gmres,
@@ -79,7 +80,6 @@ class StudyConfig:
     c0: object = 2.0
     f: object = 1.5
     ybar: object = 1.0
-    seed: int = 0
     jobs: int = 1
     include_unpreconditioned: bool = True
     dense_cap: int = 2000
@@ -304,9 +304,6 @@ def write_convergence_csv(records: list[ConvergenceRecord], path) -> None:
             )
 
 
-EIG_PROBE_KINDS = ("none", "ideal", "matched_symmetric", "matched_nonsymmetric")
-
-
 @dataclass(eq=False)
 class EigProbeResult:
     entries: list[tuple[str, float, np.ndarray]]
@@ -327,7 +324,7 @@ class EigProbeResult:
                     writer.writerow([kind, f"{beta:g}", f"{lam.real:.12e}", f"{lam.imag:.12e}"])
 
 
-def eig_probe(cfg: StudyConfig, kinds=EIG_PROBE_KINDS) -> EigProbeResult:
+def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
     """Spectra of the preconditioned KKT operator and of the preconditioned
     mass block, per beta, at dense-probe scale."""
     n_e = cfg.ne_values[0]

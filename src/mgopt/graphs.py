@@ -312,7 +312,6 @@ def metric_from_combinatorial(
     base: CombinatorialGraph,
     n_controls: int,
     seed: int = 0,
-    coordinate_lengths: bool = True,
 ) -> MetricGraph:
     """Turn a loaded graph into a metric graph with randomly drawn control nodes.
 
@@ -320,7 +319,7 @@ def metric_from_combinatorial(
     available (degenerate zero distances fall back to 1), else all lengths
     are 1.
     """
-    if base.coordinates is not None and coordinate_lengths:
+    if base.coordinates is not None:
         xy = base.coordinates
         lengths = np.array([np.hypot(*(xy[u] - xy[v])) for u, v in base.edges])
         lengths[lengths == 0.0] = 1.0

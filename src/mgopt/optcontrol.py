@@ -13,7 +13,7 @@ flip it back on output so that b*u equals the variational vertex flux of p.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -48,71 +48,57 @@ def normalize_precon_kind(kind: str) -> str:
 
 @dataclass(eq=False)
 class KktSystem:
-    """Matrix-free application of the symmetric 3x3 saddle-point operator."""
+    """Matrix-free application of the symmetric 3x3 saddle-point operator.
 
-    m_ff: sp.csr_matrix
-    m_fd: sp.csr_matrix
-    m_df: sp.csr_matrix
-    m_dd: sp.csr_matrix
-    k_ff: sp.csr_matrix
-    k_fd: sp.csr_matrix
-    k_df: sp.csr_matrix
+    A view of the operators at one beta: the blocks and sizes are read from ``ops``.
+    """
+
+    ops: FeOperators
     beta: float
     rhs: np.ndarray
-    n_f: int
-    n_d: int
 
     @property
     def dim(self) -> int:
-        return 2 * self.n_f + self.n_d
+        return 2 * self.ops.n_free + self.ops.n_dirichlet
 
     def split(self, x):
-        nf, nd = self.n_f, self.n_d
+        nf, nd = self.ops.n_free, self.ops.n_dirichlet
         return x[:nf], x[nf : nf + nd], x[nf + nd :]
 
     def apply(self, x) -> np.ndarray:
+        ops = self.ops
         x1, x2, x3 = self.split(np.asarray(x, dtype=float))
-        out = np.empty(self.dim)
-        out[: self.n_f] = self.m_ff @ x1 + self.m_fd @ x2 + self.k_ff @ x3
-        out[self.n_f : self.n_f + self.n_d] = (
-            self.m_df @ x1 + self.m_dd @ x2 + self.beta * x2 + self.k_df @ x3
-        )
-        out[self.n_f + self.n_d :] = self.k_ff @ x1 + self.k_fd @ x2
+        nf, nd = x1.size, x2.size
+        out = np.empty(2 * nf + nd)
+        out[:nf] = ops.M_FF @ x1 + ops.M_FD @ x2 + ops.K_FF @ x3
+        out[nf : nf + nd] = ops.M_DF @ x1 + ops.M_DD @ x2 + self.beta * x2 + ops.K_DF @ x3
+        out[nf + nd :] = ops.K_FF @ x1 + ops.K_FD @ x2
         return out
 
     def as_dense(self, cap: int = 2000) -> np.ndarray:
         """Materialized operator for oracles and eigenvalue probes, size-capped."""
         if self.dim > cap:
             raise ValueError(f"dense KKT materialization capped at {cap}, got {self.dim}")
-        z = sp.csr_matrix((self.n_f, self.n_f))
+        ops = self.ops
+        z = sp.csr_matrix((ops.n_free, ops.n_free))
         full = sp.bmat(
             [
-                [self.m_ff, self.m_fd, self.k_ff.T],
-                [self.m_df, self.m_dd + self.beta * sp.identity(self.n_d), self.k_fd.T],
-                [self.k_ff, self.k_fd, z],
+                [ops.M_FF, ops.M_FD, ops.K_FF.T],
+                [ops.M_DF, ops.M_DD + self.beta * sp.identity(ops.n_dirichlet), ops.K_FD.T],
+                [ops.K_FF, ops.K_FD, z],
             ]
         )
         return full.toarray()
 
 
 def build_kkt(ops: FeOperators, data: ProblemData) -> KktSystem:
-    """Assemble the saddle-point operator and right-hand side (ybar_F, ybar_D, f_F)."""
+    """The saddle-point operator at ``data.beta`` and its right-hand side (ybar_F, ybar_D, f_F).
+
+    Only ``data.beta`` is read from ``data``: c0, f and ybar come from ``ops``.
+    """
     if not data.beta > 0:
         raise ValueError("regularization weight must be positive")
-    rhs = np.concatenate([ops.ybar_F, ops.ybar_D, ops.f_F])
-    return KktSystem(
-        m_ff=ops.M_FF,
-        m_fd=ops.M_FD,
-        m_df=ops.M_DF,
-        m_dd=ops.M_DD,
-        k_ff=ops.K_FF,
-        k_fd=ops.K_FD,
-        k_df=ops.K_DF,
-        beta=data.beta,
-        rhs=rhs,
-        n_f=ops.n_free,
-        n_d=ops.n_dirichlet,
-    )
+    return KktSystem(ops, data.beta, np.concatenate([ops.ybar_F, ops.ybar_D, ops.f_F]))
 
 
 class Preconditioner:
@@ -159,7 +145,8 @@ def build_preconditioner(
     (diagonal mass approximations and the lumped-square-root matching term N,
     SPD and usable with MINRES) and ``matched_nonsymmetric`` (the
     GMRES-oriented Schur approximation with the full M_FF, applied exactly
-    through its low-rank structure).
+    through its low-rank structure).  Only ``data.beta`` is read from
+    ``data``: c0, f and ybar come from ``ops``.
     """
     kind = normalize_precon_kind(kind)
     n_f, n_d = ops.n_free, ops.n_dirichlet
@@ -466,7 +453,6 @@ class SolveStats:
     converged: bool
     residual: float  # true relative KKT residual
     stop_residual: float  # KrylovResult.stop_residual; for MINRES it may sit far below residual
-    block_residual: float
     optimality_residual: float
     objective: float
     elapsed: float
@@ -519,6 +505,7 @@ def solve_kkt(
 ):
     """Build and solve the saddle-point system; returns (result, kkt, preconditioner).
 
+    Only ``data.beta`` is read from ``data``: c0, f and ybar come from ``ops``.
     Raises SingularOperatorError, naming its vertices, for a graph component
     with no Dirichlet node and c0 = 0, whatever the preconditioner.
     """
@@ -548,7 +535,6 @@ def solve_ocp(
     precon: str = "matched_nonsymmetric",
     tol: float = 1e-8,
     max_it: int | None = None,
-    dense_cap: int = 2000,
 ) -> OcpSolution:
     """Discretize and solve the optimal control problem end to end.
 
@@ -558,9 +544,7 @@ def solve_ocp(
     t0 = time.perf_counter()
     mesh = build_mesh(graph, n_e)
     ops = build_operators(mesh, data)
-    sol = solve_ocp_assembled(
-        ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it, dense_cap=dense_cap
-    )
+    sol = solve_ocp_assembled(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)
     # count mesh and assembly time too
     sol.stats.elapsed = time.perf_counter() - t0
     return sol
@@ -573,36 +557,29 @@ def solve_ocp_assembled(
     precon: str = "matched_nonsymmetric",
     tol: float = 1e-8,
     max_it: int | None = None,
-    dense_cap: int = 2000,
 ) -> OcpSolution:
-    """Solve on prebuilt operators (used by parameter sweeps to share assembly)."""
+    """Solve on prebuilt operators (used by parameter sweeps to share assembly).
+
+    Only ``data.beta`` is read from ``data``: c0, f and ybar come from ``ops``.
+    The objective and the optimality defect are those at ``data.beta``.
+    """
     t0 = time.perf_counter()
-    result, kkt, pc = solve_kkt(
-        ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it, dense_cap=dense_cap
-    )
+    result, kkt, pc = solve_kkt(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)
     mesh = ops.mesh
-    y_f_part, u, p_flipped = kkt.split(result.x)
-    nf = ops.n_free
-    y = np.empty(mesh.n_dof)
-    y[:nf] = y_f_part
-    y[nf:] = u
-    p = np.zeros(mesh.n_dof)
-    p[:nf] = -p_flipped
+    y_f, u, p_flipped = kkt.split(result.x)
+    y = np.concatenate([y_f, u])
+    p = np.concatenate([-p_flipped, np.zeros(u.size)])
     y_fn = PiecewiseLinearFunction(mesh, y)
     p_fn = PiecewiseLinearFunction(mesh, p)
-    rhs_norm = float(np.linalg.norm(kkt.rhs))
-    block_res = float(np.linalg.norm(kkt.apply(result.x) - kkt.rhs))
-    if rhs_norm > 0:
-        block_res /= rhs_norm
+    at_beta = replace(ops, data=replace(ops.data, beta=data.beta))
     stats = SolveStats(
         n_dof=mesh.n_dof,
         iterations=result.iterations,
         converged=result.converged,
         residual=result.true_residual,
         stop_residual=result.stop_residual,
-        block_residual=block_res,
-        optimality_residual=optimality_residual(ops, y_fn, u, p_fn),
-        objective=objective_value(ops, y, u),
+        optimality_residual=optimality_residual(at_beta, y_fn, u, p_fn),
+        objective=objective_value(at_beta, y, u),
         elapsed=time.perf_counter() - t0,
         solver=solver,
         precon=pc.kind,

@@ -1,6 +1,7 @@
 import numpy as np
 
 from mgopt.cli import cli_main
+from mgopt.experiments import EigProbeResult
 
 
 def test_graph_info_fdm(capsys):
@@ -76,13 +77,24 @@ def test_convergence_study_cli(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_eig_probe_cli(tmp_path, capsys):
+def test_eig_probe_cli(tmp_path, capsys, monkeypatch):
+    writes = []
+    write_csv = EigProbeResult.write_csv
+
+    def counted_write_csv(self, path):
+        writes.append(path)
+        write_csv(self, path)
+
+    monkeypatch.setattr(EigProbeResult, "write_csv", counted_write_csv)
     out = tmp_path / "eig.csv"
     code = cli_main(
         ["eig-probe", "--graph", "star:3", "--ne", "2", "--beta", "1e-2", "--out", str(out)]
     )
     assert code == 0
-    assert "ideal" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "ideal" in text
+    assert f"wrote {out}" in text
+    assert writes == [str(out)]
     assert out.read_text().startswith("kind,beta,re,im")
 
 

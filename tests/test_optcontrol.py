@@ -100,6 +100,19 @@ def test_kkt_dense_cap():
         kkt.as_dense(cap=3)
 
 
+def test_kkt_surface_read_by_the_benchmark():
+    # mgbench pairs each unpreconditioned GMRES call with its system through
+    # ``kkt.apply.__self__`` and splits solutions with ``split``
+    ops, data = tiny_star_ops(leaves=3, n_e=4)
+    kkt = build_kkt(ops, data)
+    assert kkt.apply.__self__ is kkt
+    assert kkt.dim == kkt.rhs.size == 2 * ops.n_free + ops.n_dirichlet
+    x = np.arange(kkt.dim, dtype=float)
+    parts = kkt.split(x)
+    assert [part.size for part in parts] == [ops.n_free, ops.n_dirichlet, ops.n_free]
+    assert np.array_equal(np.concatenate(parts), x)
+
+
 def test_precon_kind_normalization():
     assert normalize_precon_kind("sym") == "matched_symmetric"
     assert normalize_precon_kind("nonsym") == "matched_nonsymmetric"
@@ -473,9 +486,33 @@ def test_solve_ocp_block_and_optimality_residuals():
     data = ProblemData(beta=0.1, c0=2.0, f=1.5, ybar=1.0)
     sol = solve_ocp(g, 8, data, tol=1e-8)
     assert sol.stats.converged
-    assert sol.stats.block_residual <= 1e-7
+    assert sol.stats.residual <= 1e-8
     assert sol.stats.optimality_residual <= 1e-7
     assert sol.stats.n_dof == g.n_vertices + g.n_edges * 7
+    # ||K x - b|| / ||b|| of the returned y, u and p, whose KKT unknown is -p
+    ops = build_operators(build_mesh(g, 8), data)
+    kkt = build_kkt(ops, data)
+    nf = ops.n_free
+    x = np.concatenate([sol.y.values[:nf], sol.u, -sol.p.values[:nf]])
+    block_res = np.linalg.norm(kkt.apply(x) - kkt.rhs) / np.linalg.norm(kkt.rhs)
+    assert block_res <= 1e-7
+    assert block_res == pytest.approx(sol.stats.residual, rel=1e-9)
+
+
+def test_solve_ocp_assembled_reports_at_the_beta_it_solved():
+    # one assembly at beta 1e-2 serves a solve at 1e-3, as in the beta sweeps;
+    # the objective and the optimality defect belong to the problem at 1e-3
+    g = make_fdm_L_graph(10, 12, seed=1)
+    assembled_at = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    data = replace(assembled_at, beta=1e-3)
+    ops = build_operators(build_mesh(g, 8), assembled_at)
+    shared = solve_ocp_assembled(ops, data).stats
+    fresh = solve_ocp(g, 8, data).stats
+    assert fresh.converged and fresh.optimality_residual <= 1e-6
+    assert shared.iterations == fresh.iterations
+    assert shared.objective == fresh.objective
+    assert shared.optimality_residual == fresh.optimality_residual
+    assert ops.data is assembled_at
 
 
 def test_solve_ocp_large_beta_kills_control():
