@@ -30,7 +30,7 @@ class SingularOperatorError(ValueError):
     """The free-node system matrix is not invertible (no coercivity)."""
 
 
-Blocks = namedtuple("Blocks", ["ff", "fd", "df", "dd"])
+Blocks = namedtuple("Blocks", ["ff", "fd", "dd"])
 
 
 def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
@@ -102,16 +102,14 @@ def l2_distance_sq(mesh: ExtendedMesh, y, g) -> float:
 
 
 def partition_blocks(matrix, mesh: ExtendedMesh) -> Blocks:
-    """FF/FD/DF/DD views of a DOF-ordered operator (free = interior + Kirchhoff)."""
+    """FF/FD/DD views of a symmetric DOF-ordered operator; its DF block is ``fd.T``."""
     nf = mesh.n_free
     csr = matrix.tocsr()
     top = csr[:nf].tocsc()
-    bottom = csr[nf:].tocsc()
     return Blocks(
         ff=top[:, :nf].tocsr(),
         fd=top[:, nf:].tocsr(),
-        df=bottom[:, :nf].tocsr(),
-        dd=bottom[:, nf:].tocsr(),
+        dd=csr[nf:].tocsc()[:, nf:].tocsr(),
     )
 
 
@@ -142,19 +140,19 @@ class ProblemData:
 
 @dataclass(eq=False)
 class FeOperators:
-    """Assembled operators, their free/Dirichlet blocks, and load vectors."""
+    """Assembled operators, their free/Dirichlet blocks, and load vectors.
+
+    K = A + M_c0 and M are symmetric: their DF blocks are ``K_FD.T`` and ``M_FD.T``.
+    """
 
     mesh: ExtendedMesh
     data: ProblemData
-    A: sp.csr_matrix
     M: sp.csr_matrix
     K: sp.csr_matrix
     K_FF: sp.csr_matrix
     K_FD: sp.csr_matrix
-    K_DF: sp.csr_matrix
     M_FF: sp.csr_matrix
     M_FD: sp.csr_matrix
-    M_DF: sp.csr_matrix
     M_DD: sp.csr_matrix
     f_vec: np.ndarray
     ybar_vec: np.ndarray
@@ -208,10 +206,6 @@ class FeOperators:
 
     def l2_norm(self, v) -> float:
         return float(np.sqrt(max(self.l2_inner(v, v), 0.0)))
-
-    def h1_seminorm(self, v) -> float:
-        v = np.asarray(v)
-        return float(np.sqrt(max(v @ (self.A @ v), 0.0)))
 
 
 def floating_components(mesh: ExtendedMesh, c0) -> list[np.ndarray]:
@@ -358,24 +352,20 @@ def condense(ops: FeOperators) -> VertexCondensation:
 
 
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
-    """Assemble A, M, K = A + M_c0 (c0-weighted mass, not kept), their blocks, and the loads."""
-    a = assemble_stiffness(mesh)
+    """Assemble M, K = A + M_c0 (neither term kept), their blocks, and the loads."""
     m = assemble_mass(mesh)
-    k = (a + assemble_mass(mesh, data.c0)).tocsr()
+    k = (assemble_stiffness(mesh) + assemble_mass(mesh, data.c0)).tocsr()
     kb = partition_blocks(k, mesh)
     mb = partition_blocks(m, mesh)
     return FeOperators(
         mesh=mesh,
         data=data,
-        A=a,
         M=m,
         K=k,
         K_FF=kb.ff,
         K_FD=kb.fd,
-        K_DF=kb.df,
         M_FF=mb.ff,
         M_FD=mb.fd,
-        M_DF=mb.df,
         M_DD=mb.dd,
         f_vec=assemble_load(mesh, data.f, m),
         ybar_vec=assemble_load(mesh, data.ybar, m),

@@ -10,11 +10,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
 from . import linalg
-from .assembly import ProblemData, build_operators
+from .assembly import ProblemData, assemble_stiffness, build_operators
 from .graphs import (
     MetricGraph,
     load_graph_json,
@@ -245,6 +246,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     data = cfg.problem_data(beta)
     ref_mesh = build_mesh(cfg.graph, ref_ne)
     ref_ops = build_operators(ref_mesh, data)
+    ref_stiffness = assemble_stiffness(ref_mesh)
     ref_sol = solve_ocp_assembled(
         ref_ops, data, solver=cfg.solver, precon=cfg.precon, tol=cfg.tol, max_it=cfg.max_it
     )
@@ -264,7 +266,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         err_u = float(np.linalg.norm(ref_sol.u - sol.u))
         e = ref_sol.y.values - prolong(sol.y, ref_mesh).values
         l2 = ref_ops.l2_norm(e)
-        semi = ref_ops.h1_seminorm(e)
+        semi = float(np.sqrt(max(e @ (ref_stiffness @ e), 0.0)))
         records.append(
             ConvergenceRecord(
                 n_e=n_e,
@@ -347,10 +349,10 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
         n_f, n_d = ops.n_free, ops.n_dirichlet
         mass = np.block(
             [[ops.M_FF.toarray(), ops.M_FD.toarray()],
-             [ops.M_DF.toarray(), ops.M_DD.toarray() + beta * np.eye(n_d)]]
+             [ops.M_FD.T.toarray(), ops.M_DD.toarray() + beta * np.eye(n_d)]]
         )
         m_ff = ops.M_FF.toarray()
-        s_m = mass[n_f:, n_f:] - ops.M_DF.toarray() @ np.linalg.solve(m_ff, ops.M_FD.toarray())
+        s_m = mass[n_f:, n_f:] - mass[n_f:, :n_f] @ np.linalg.solve(m_ff, mass[:n_f, n_f:])
         block = scipy.linalg.block_diag(m_ff, s_m)
         entries.append(("mass", beta, linalg.dense_eigs(np.linalg.solve(block, mass), cap=cfg.dense_cap)))
     result = EigProbeResult(entries)
@@ -360,9 +362,9 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
 
 
 def dump_matrices(ops, directory) -> None:
-    """Write A, M, K to MatrixMarket files for external verification."""
+    """Write A (assembled here; the operators do not keep it), M and K to
+    MatrixMarket files for external verification."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    linalg.write_matrix_market(directory / "A.mtx", ops.A)
-    linalg.write_matrix_market(directory / "M.mtx", ops.M)
-    linalg.write_matrix_market(directory / "K.mtx", ops.K)
+    for name, mat in (("A", assemble_stiffness(ops.mesh)), ("M", ops.M), ("K", ops.K)):
+        scipy.io.mmwrite(str(directory / f"{name}.mtx"), sp.coo_matrix(mat))

@@ -76,19 +76,6 @@ class CombinatorialGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def weight(self, u: int, v: int) -> float:
-        """Symmetric weight lookup; 0 for non-adjacent pairs."""
-        try:
-            index = self._pair_index
-        except AttributeError:
-            index = {}
-            for k, (a, b) in enumerate(self.edges):
-                index[(a, b)] = k
-                index[(b, a)] = k
-            object.__setattr__(self, "_pair_index", index)
-        k = index.get((int(u), int(v)))
-        return float(self.edge_weights[k]) if k is not None else 0.0
-
     def weight_matrix(self) -> sp.csr_matrix:
         """Symmetric weight matrix W."""
         n = self.n_vertices

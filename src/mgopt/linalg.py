@@ -1,4 +1,4 @@
-"""Factorization-backed sparse solves, a dense eigenvalue probe, MatrixMarket I/O.
+"""Factorization-backed sparse solves and a dense eigenvalue probe.
 
 Matrices are scipy CSR/CSC throughout.  ``factor`` makes complete SuperLU
 decompositions with fill-reducing orderings, computed once and reused.
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -90,11 +89,3 @@ def dense_eigs(a, cap: int = 2000) -> np.ndarray:
         raise ValueError(f"dense eigenvalue probe capped at {cap}, got {n}")
     dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
     return scipy.linalg.eigvals(dense)
-
-
-def read_matrix_market(path) -> sp.csr_matrix:
-    return sp.csr_matrix(scipy.io.mmread(str(path)))
-
-
-def write_matrix_market(path, a) -> None:
-    scipy.io.mmwrite(str(path), sp.coo_matrix(a))

@@ -3,7 +3,7 @@
 The first-order conditions form the symmetric saddle-point system
 
     [ M_FF          M_FD        K_FF^T ] [ y_F ]   [ ybar_F ]
-    [ M_DF          M_DD + bI   K_FD^T ] [ u   ] = [ ybar_D ]
+    [ M_FD^T        M_DD + bI   K_FD^T ] [ u   ] = [ ybar_D ]
     [ K_FF          K_FD        0      ] [ p_F ]   [ f_F    ]
 
 whose third unknown carries the opposite sign of the adjoint state; solvers
@@ -30,7 +30,6 @@ PRECONDITIONER_KINDS = ("none", "ideal", "matched_symmetric", "matched_nonsymmet
 
 _PRECON_ALIASES = {
     "none": "none",
-    "identity": "none",
     "ideal": "ideal",
     "sym": "matched_symmetric",
     "matched_symmetric": "matched_symmetric",
@@ -71,7 +70,7 @@ class KktSystem:
         nf, nd = x1.size, x2.size
         out = np.empty(2 * nf + nd)
         out[:nf] = ops.M_FF @ x1 + ops.M_FD @ x2 + ops.K_FF @ x3
-        out[nf : nf + nd] = ops.M_DF @ x1 + ops.M_DD @ x2 + self.beta * x2 + ops.K_DF @ x3
+        out[nf : nf + nd] = ops.M_FD.T @ x1 + ops.M_DD @ x2 + self.beta * x2 + ops.K_FD.T @ x3
         out[nf + nd :] = ops.K_FF @ x1 + ops.K_FD @ x2
         return out
 
@@ -84,20 +83,36 @@ class KktSystem:
         full = sp.bmat(
             [
                 [ops.M_FF, ops.M_FD, ops.K_FF.T],
-                [ops.M_DF, ops.M_DD + self.beta * sp.identity(ops.n_dirichlet), ops.K_FD.T],
+                [ops.M_FD.T, ops.M_DD + self.beta * sp.identity(ops.n_dirichlet), ops.K_FD.T],
                 [ops.K_FF, ops.K_FD, z],
             ]
         )
         return full.toarray()
 
 
+def _require_assembled_data(ops: FeOperators, data: ProblemData) -> None:
+    """Raise ValueError unless ``data`` holds the c0, f and ybar ``ops`` was assembled with.
+
+    Samplers are compared by identity, scalars and arrays by value.
+    """
+    for name in ("c0", "f", "ybar"):
+        given, assembled = getattr(data, name), getattr(ops.data, name)
+        if callable(given) or callable(assembled):
+            same = given is assembled
+        else:
+            same = np.array_equal(given, assembled)
+        if not same:
+            raise ValueError(f"{name} differs from the {name} the operators were assembled with")
+
+
 def build_kkt(ops: FeOperators, data: ProblemData) -> KktSystem:
     """The saddle-point operator at ``data.beta`` and its right-hand side (ybar_F, ybar_D, f_F).
 
-    Only ``data.beta`` is read from ``data``: c0, f and ybar come from ``ops``.
+    c0, f and ybar must be those ``ops`` was assembled with (ValueError otherwise).
     """
     if not data.beta > 0:
         raise ValueError("regularization weight must be positive")
+    _require_assembled_data(ops, data)
     return KktSystem(ops, data.beta, np.concatenate([ops.ybar_F, ops.ybar_D, ops.f_F]))
 
 
@@ -127,7 +142,7 @@ def _mass_diag_schur(ops: FeOperators, beta: float):
     d_sm = (
         ops.M_DD
         + beta * sp.identity(n_d, format="csr")
-        - ops.M_DF @ sp.diags(1.0 / d_m) @ ops.M_FD
+        - ops.M_FD.T @ sp.diags(1.0 / d_m) @ ops.M_FD
     ).tocsr()
     bad = np.nonzero(d_sm.diagonal() <= 0)[0]
     if bad.size:
@@ -145,10 +160,11 @@ def build_preconditioner(
     (diagonal mass approximations and the lumped-square-root matching term N,
     SPD and usable with MINRES) and ``matched_nonsymmetric`` (the
     GMRES-oriented Schur approximation with the full M_FF, applied exactly
-    through its low-rank structure).  Only ``data.beta`` is read from
-    ``data``: c0, f and ybar come from ``ops``.
+    through its low-rank structure).  c0, f and ybar must be those ``ops`` was
+    assembled with (ValueError otherwise).
     """
     kind = normalize_precon_kind(kind)
+    _require_assembled_data(ops, data)
     n_f, n_d = ops.n_free, ops.n_dirichlet
     beta = data.beta
     if kind == "none":
@@ -161,7 +177,7 @@ def build_preconditioner(
         if dim > dense_cap:
             raise ValueError(f"ideal preconditioner is dense and capped at {dense_cap}, got {dim}")
         m2 = sp.bmat(
-            [[ops.M_FF, ops.M_FD], [ops.M_DF, ops.M_DD + beta * sp.identity(n_d)]]
+            [[ops.M_FF, ops.M_FD], [ops.M_FD.T, ops.M_DD + beta * sp.identity(n_d)]]
         ).tocsc()
         m2_fact = linalg.factor(m2, "cholesky")
         b = sp.hstack([ops.K_FF, ops.K_FD]).tocsr()
@@ -484,9 +500,7 @@ def optimality_residual(ops: FeOperators, y, u, p) -> float:
     The flux of p takes the source y - ybar with ybar's load ``ops.ybar_D``,
     the same one the KKT right-hand side holds.
     """
-    yv = y.values if isinstance(y, PiecewiseLinearFunction) else np.asarray(y)
-    pv = p.values if isinstance(p, PiecewiseLinearFunction) else np.asarray(p)
-    flux = discrete_kirchhoff(ops, pv, yv) + ops.ybar_D
+    flux = discrete_kirchhoff(ops, p, y) + ops.ybar_D
     defect = ops.data.beta * np.asarray(u) - flux
     denom = ops.data.beta * np.linalg.norm(u) + np.linalg.norm(flux)
     if denom == 0.0:
@@ -505,8 +519,8 @@ def solve_kkt(
 ):
     """Build and solve the saddle-point system; returns (result, kkt, preconditioner).
 
-    Only ``data.beta`` is read from ``data``: c0, f and ybar come from ``ops``.
-    Raises SingularOperatorError, naming its vertices, for a graph component
+    Raises ValueError if c0, f or ybar differ from those ``ops`` was assembled
+    with, and SingularOperatorError, naming its vertices, for a graph component
     with no Dirichlet node and c0 = 0, whatever the preconditioner.
     """
     ops.require_coercive()
@@ -560,8 +574,8 @@ def solve_ocp_assembled(
 ) -> OcpSolution:
     """Solve on prebuilt operators (used by parameter sweeps to share assembly).
 
-    Only ``data.beta`` is read from ``data``: c0, f and ybar come from ``ops``.
-    The objective and the optimality defect are those at ``data.beta``.
+    ``data`` may differ from ``ops.data`` in beta only (ValueError otherwise);
+    the objective and the optimality defect are those at ``data.beta``.
     """
     t0 = time.perf_counter()
     result, kkt, pc = solve_kkt(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)

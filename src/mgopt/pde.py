@@ -16,14 +16,14 @@ def _values(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateSolution:
-    """State together with its control-driven and source-driven parts.
+    """State together with its source-driven part.
 
-    Nodal-wise y = y_u + y_f up to solver accuracy; y matches the control at
-    Dirichlet nodes exactly.
+    y_f solves the state equation with zero control, so nodal-wise
+    y = harmonic_extension(ops, u) + y_f up to solver accuracy; y matches the
+    control at Dirichlet nodes exactly.
     """
 
     y: PiecewiseLinearFunction
-    y_u: PiecewiseLinearFunction
     y_f: PiecewiseLinearFunction
 
 
@@ -31,8 +31,8 @@ def solve_state(ops: FeOperators, u=None, f_vec=None) -> StateSolution:
     """Solve the discrete state equation for Dirichlet data u and load f_vec.
 
     The free values solve K_FF y_F = f_F - K_FD u; Dirichlet values are u.
-    The decomposition parts y_u (zero load) and y_f (zero control) are solved
-    independently with the same factorization.
+    The source-driven part y_f (zero control) is solved with the same
+    factorization: two K_FF solves in all.
     """
     mesh = ops.mesh
     nf, nd = ops.n_free, ops.n_dirichlet
@@ -41,21 +41,13 @@ def solve_state(ops: FeOperators, u=None, f_vec=None) -> StateSolution:
         raise ValueError(f"expected {nd} Dirichlet values, got {u.shape}")
     f_free = np.zeros(nf) if f_vec is None else np.asarray(f_vec, dtype=float)[:nf]
     fac = ops.kff_factor()
-    coupled = ops.K_FD @ u
 
     y = np.empty(mesh.n_dof)
-    y[:nf] = fac.solve(f_free - coupled)
+    y[:nf] = fac.solve(f_free - ops.K_FD @ u)
     y[nf:] = u
-    y_u = np.empty(mesh.n_dof)
-    y_u[:nf] = fac.solve(-coupled)
-    y_u[nf:] = u
     y_f = np.zeros(mesh.n_dof)
     y_f[:nf] = fac.solve(f_free)
-    return StateSolution(
-        PiecewiseLinearFunction(mesh, y),
-        PiecewiseLinearFunction(mesh, y_u),
-        PiecewiseLinearFunction(mesh, y_f),
-    )
+    return StateSolution(PiecewiseLinearFunction(mesh, y), PiecewiseLinearFunction(mesh, y_f))
 
 
 def harmonic_extension(ops: FeOperators, u) -> PiecewiseLinearFunction:

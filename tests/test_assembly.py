@@ -175,7 +175,8 @@ def test_partition_transpose_consistency():
     mesh = build_mesh(random_metric_graph(rng), 3)
     k = assemble_stiffness(mesh) + assemble_mass(mesh, 1.0)
     blocks = partition_blocks(k, mesh)
-    assert (blocks.df - blocks.fd.T).count_nonzero() == 0
+    # the DF block callers read as fd.T
+    assert (k.tocsr()[mesh.n_free :, : mesh.n_free] - blocks.fd.T).count_nonzero() == 0
 
 
 @st.composite
@@ -289,7 +290,7 @@ def test_operators_symmetric_exactly():
     mesh = build_mesh(random_metric_graph(rng), 5)
     data = ProblemData(beta=0.5, c0=2.0, f=1.0, ybar=1.0)
     ops = build_operators(mesh, data)
-    for mat in (ops.A, ops.M, assemble_mass(mesh, data.c0), ops.K):
+    for mat in (assemble_stiffness(mesh), ops.M, assemble_mass(mesh, data.c0), ops.K):
         assert abs(mat - mat.T).max() == 0.0
 
 

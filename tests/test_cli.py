@@ -1,5 +1,6 @@
 import numpy as np
 
+from mgopt import cli, optcontrol
 from mgopt.cli import cli_main
 from mgopt.experiments import EigProbeResult
 
@@ -37,12 +38,21 @@ def test_solve_minres_path(capsys):
     assert "stop_residual=" in out
 
 
-def test_solve_dump_matrices(tmp_path, capsys):
+def test_solve_dump_matrices(tmp_path, capsys, monkeypatch):
+    # the solve and the dump share one assembly
+    calls = []
+    for module in (cli, optcontrol):
+        build = module.build_operators
+        monkeypatch.setattr(
+            module, "build_operators", lambda *a, build=build: calls.append(1) or build(*a)
+        )
     out_dir = tmp_path / "mats"
     code = cli_main(
         ["solve", "--graph", "star:3", "--ne", "4", "--dump-matrices", str(out_dir)]
     )
     assert code == 0
+    assert len(calls) == 1
+    assert "time=" in capsys.readouterr().out
     assert (out_dir / "A.mtx").exists()
     assert (out_dir / "M.mtx").exists()
     assert (out_dir / "K.mtx").exists()

@@ -173,9 +173,10 @@ def test_graph_validation():
 
 def test_weight_lookup():
     g = CombinatorialGraph(3, ((0, 1), (1, 2)), np.array([2.0, 3.0]))
-    assert g.weight(0, 1) == 2.0
-    assert g.weight(1, 0) == 2.0
-    assert g.weight(0, 2) == 0.0
+    w = g.weight_matrix()
+    assert w[0, 1] == 2.0
+    assert w[1, 0] == 2.0
+    assert w[0, 2] == 0.0
     assert np.array_equal(g.degrees(), [2.0, 5.0, 3.0])
 
 

@@ -7,8 +7,6 @@ from mgopt.linalg import (
     SingularMatrixError,
     dense_eigs,
     factor,
-    read_matrix_market,
-    write_matrix_market,
 )
 
 from helpers import thomas_solve
@@ -70,15 +68,6 @@ def test_dense_eigs_known_spectra():
 def test_dense_eigs_cap():
     with pytest.raises(ValueError, match="capped"):
         dense_eigs(np.eye(10), cap=5)
-
-
-def test_matrix_market_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    a = sp.random(8, 8, density=0.3, random_state=2, format="csr")
-    path = tmp_path / "a.mtx"
-    write_matrix_market(path, a)
-    back = read_matrix_market(path)
-    assert (abs(a - back)).max() <= 1e-14
 
 
 def test_spd_solve_round_trip():

@@ -116,9 +116,10 @@ def test_kkt_surface_read_by_the_benchmark():
 def test_precon_kind_normalization():
     assert normalize_precon_kind("sym") == "matched_symmetric"
     assert normalize_precon_kind("nonsym") == "matched_nonsymmetric"
-    assert normalize_precon_kind("identity") == "none"
-    with pytest.raises(ValueError):
-        normalize_precon_kind("bogus")
+    assert normalize_precon_kind("none") == "none"
+    for bogus in ("bogus", "identity"):
+        with pytest.raises(ValueError, match="unknown preconditioner kind"):
+            normalize_precon_kind(bogus)
 
 
 def test_preconditioner_requires_controls():
@@ -146,7 +147,7 @@ def test_preconditioner_linearity_and_kinds():
 def matched_diagonals(ops, beta):
     """D_M, D_SM, the lumped matching diagonal d_kdk and N, rebuilt densely from ops."""
     d_m = ops.M_FF.diagonal()
-    d_sm = ops.M_DD.toarray() + beta * np.eye(ops.n_dirichlet) - ops.M_DF.toarray() @ (
+    d_sm = ops.M_DD.toarray() + beta * np.eye(ops.n_dirichlet) - ops.M_FD.T.toarray() @ (
         ops.M_FD.toarray() / d_m[:, None]
     )
     k_fd = ops.K_FD.toarray()
@@ -513,6 +514,28 @@ def test_solve_ocp_assembled_reports_at_the_beta_it_solved():
     assert shared.objective == fresh.objective
     assert shared.optimality_residual == fresh.optimality_residual
     assert ops.data is assembled_at
+
+
+def test_solve_on_operators_assembled_with_other_data_raises():
+    # K and the loads hold the assembled c0, f and ybar; a solve with other
+    # values used to return the assembled problem's solution without an error
+    g = make_fdm_L_graph(10, 12, seed=1)
+    assembled_at = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(g, 8), assembled_at)
+    for name, value in (("ybar", 5.0), ("f", 0.0), ("c0", np.full(g.n_edges, 3.0))):
+        data = replace(assembled_at, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            solve_ocp_assembled(ops, data)
+        with pytest.raises(ValueError, match=name):
+            build_preconditioner("nonsym", ops, data)
+    # equal values pass, and samplers must be the very same callable
+    ops_arr = build_operators(build_mesh(g, 8), replace(assembled_at, c0=np.full(g.n_edges, 2.0)))
+    build_kkt(ops_arr, replace(assembled_at, c0=np.full(g.n_edges, 2.0)))
+    sampler = lambda edge, x: 1.0 + 0.0 * x
+    ops_fn = build_operators(build_mesh(g, 8), replace(assembled_at, ybar=sampler))
+    build_kkt(ops_fn, replace(assembled_at, ybar=sampler))
+    with pytest.raises(ValueError, match="ybar"):
+        build_kkt(ops_fn, replace(assembled_at, ybar=lambda edge, x: 1.0 + 0.0 * x))
 
 
 def test_solve_ocp_large_beta_kills_control():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mgopt.assembly import ProblemData, SingularOperatorError, build_operators
+from mgopt import linalg
+from mgopt.assembly import ProblemData, SingularOperatorError, assemble_stiffness, build_operators
 from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_path, make_star
 from mgopt.mesh import build_mesh, nodal_values
 from mgopt.pde import discrete_kirchhoff, harmonic_extension, solve_adjoint, solve_state
@@ -19,6 +20,10 @@ def single_edge(length=1.0):
 def build(graph, n_e, **data):
     mesh = build_mesh(graph, n_e)
     return build_operators(mesh, ProblemData(**{"beta": 1.0, **data}))
+
+
+def h1_seminorm(ops, v):
+    return float(np.sqrt(max(v @ (assemble_stiffness(ops.mesh) @ v), 0.0)))
 
 
 def test_state_ramp_on_single_edge():
@@ -52,9 +57,22 @@ def test_state_decomposition():
     ops = build(g, 4, c0=1.0, f=2.0)
     u = rng.standard_normal(g.n_dirichlet)
     sol = solve_state(ops, u=u, f_vec=ops.f_vec)
-    combined = sol.y_u.values + sol.y_f.values
+    combined = harmonic_extension(ops, u).values + sol.y_f.values
     assert np.linalg.norm(sol.y.values - combined) <= 1e-12 * max(np.linalg.norm(combined), 1.0)
     assert np.allclose(sol.y.values[ops.mesh.vertex_dof[ops.mesh.dirichlet_vertices]], u)
+
+
+def test_state_solve_makes_two_kff_solves(monkeypatch):
+    # y and its source-driven part y_f; the control-driven part is
+    # harmonic_extension(ops, u), which solve_state does not repeat
+    ops = build(make_star(3), 4, c0=1.0, f=2.0)
+    kff = ops.kff_factor()
+    calls = []
+    solve = linalg.Factorization.solve
+    monkeypatch.setattr(linalg.Factorization, "solve", lambda fac, b: calls.append(fac) or solve(fac, b))
+    solve_state(ops, u=np.ones(3), f_vec=ops.f_vec)
+    # the graph factor's inner vertex solves go through Factorization.solve too
+    assert sum(fac is kff for fac in calls) == 2
 
 
 def test_state_not_coercive():
@@ -80,7 +98,7 @@ def test_harmonic_extension_ramp_seminorm():
     for length in (1.0, 2.0):
         ops = build(single_edge(length), 16, c0=0.0)
         s = harmonic_extension(ops, np.array([0.0, 1.0]))
-        semi_sq = ops.h1_seminorm(s.values) ** 2
+        semi_sq = h1_seminorm(ops, s.values) ** 2
         assert abs(semi_sq - 1.0 / length) <= 1e-12
 
 
@@ -92,7 +110,7 @@ def test_harmonic_extension_stability_under_refinement():
     for n_e in (2, 4, 8, 16, 32, 64, 128, 256):
         ops = build(g, n_e, c0=0.0)
         s = harmonic_extension(ops, u)
-        ratios.append(math.hypot(ops.l2_norm(s.values), ops.h1_seminorm(s.values)) / np.linalg.norm(u))
+        ratios.append(math.hypot(ops.l2_norm(s.values), h1_seminorm(ops, s.values)) / np.linalg.norm(u))
     for prev, cur in zip(ratios[4:], ratios[5:]):
         assert abs(cur - prev) <= 0.05 * prev
 
