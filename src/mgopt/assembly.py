@@ -102,13 +102,17 @@ def l2_distance_sq(mesh: ExtendedMesh, y, g) -> float:
 
 
 def partition_blocks(matrix, mesh: ExtendedMesh) -> Blocks:
-    """FF/FD/DD views of a symmetric DOF-ordered operator; its DF block is ``fd.T``."""
+    """FF/FD/DD views of a symmetric DOF-ordered operator; its DF block is ``fd.T``.
+
+    ``fd`` stays in CSC, so ``fd.T`` is CSR and its products loop over the
+    n_D rows, and ``fd`` products over the n_D columns.
+    """
     nf = mesh.n_free
     csr = matrix.tocsr()
     top = csr[:nf].tocsc()
     return Blocks(
         ff=top[:, :nf].tocsr(),
-        fd=top[:, nf:].tocsr(),
+        fd=top[:, nf:],
         dd=csr[nf:].tocsc()[:, nf:].tocsr(),
     )
 
@@ -142,7 +146,9 @@ class ProblemData:
 class FeOperators:
     """Assembled operators, their free/Dirichlet blocks, and load vectors.
 
-    K = A + M_c0 and M are symmetric: their DF blocks are ``K_FD.T`` and ``M_FD.T``.
+    K = A + M_c0 and M are symmetric: their DF blocks are ``K_FD.T`` and
+    ``M_FD.T``.  The FD blocks are kept in CSC, so both ``K_FD`` and its
+    transpose multiply by looping over the n_D controls, not the n_f free nodes.
     """
 
     mesh: ExtendedMesh
@@ -150,9 +156,9 @@ class FeOperators:
     M: sp.csr_matrix
     K: sp.csr_matrix
     K_FF: sp.csr_matrix
-    K_FD: sp.csr_matrix
+    K_FD: sp.csc_matrix
     M_FF: sp.csr_matrix
-    M_FD: sp.csr_matrix
+    M_FD: sp.csc_matrix
     M_DD: sp.csr_matrix
     f_vec: np.ndarray
     ybar_vec: np.ndarray

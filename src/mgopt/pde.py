@@ -16,23 +16,20 @@ def _values(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateSolution:
-    """State together with its source-driven part.
+    """The discrete state; it matches the control at Dirichlet nodes exactly.
 
-    y_f solves the state equation with zero control, so nodal-wise
-    y = harmonic_extension(ops, u) + y_f up to solver accuracy; y matches the
-    control at Dirichlet nodes exactly.
+    With zero control it is the source-driven part, so nodal-wise
+    y(u) = harmonic_extension(ops, u) + y(0) up to solver accuracy.
     """
 
     y: PiecewiseLinearFunction
-    y_f: PiecewiseLinearFunction
 
 
 def solve_state(ops: FeOperators, u=None, f_vec=None) -> StateSolution:
     """Solve the discrete state equation for Dirichlet data u and load f_vec.
 
-    The free values solve K_FF y_F = f_F - K_FD u; Dirichlet values are u.
-    The source-driven part y_f (zero control) is solved with the same
-    factorization: two K_FF solves in all.
+    The free values solve K_FF y_F = f_F - K_FD u, one K_FF solve;
+    Dirichlet values are u.
     """
     mesh = ops.mesh
     nf, nd = ops.n_free, ops.n_dirichlet
@@ -40,14 +37,11 @@ def solve_state(ops: FeOperators, u=None, f_vec=None) -> StateSolution:
     if u.shape != (nd,):
         raise ValueError(f"expected {nd} Dirichlet values, got {u.shape}")
     f_free = np.zeros(nf) if f_vec is None else np.asarray(f_vec, dtype=float)[:nf]
-    fac = ops.kff_factor()
 
     y = np.empty(mesh.n_dof)
-    y[:nf] = fac.solve(f_free - ops.K_FD @ u)
+    y[:nf] = ops.kff_factor().solve(f_free - ops.K_FD @ u)
     y[nf:] = u
-    y_f = np.zeros(mesh.n_dof)
-    y_f[:nf] = fac.solve(f_free)
-    return StateSolution(PiecewiseLinearFunction(mesh, y), PiecewiseLinearFunction(mesh, y_f))
+    return StateSolution(PiecewiseLinearFunction(mesh, y))
 
 
 def harmonic_extension(ops: FeOperators, u) -> PiecewiseLinearFunction:

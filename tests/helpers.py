@@ -1,8 +1,15 @@
-"""Shared test oracles: element-by-element assembly, tridiagonal solves, random graphs.
+"""Shared test oracles: element-by-element assembly, tridiagonal solves, random graphs,
+and a fresh interpreter with one BLAS thread.
 
 These deliberately avoid the incidence-matrix code paths they are used to
 check.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +110,21 @@ def graph_with_floating_triangle(lengths=(1.0,) * 6):
     3-4-5 that has no Dirichlet vertex and no edge into the first one."""
     base = CombinatorialGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (2, 0)), np.ones(6))
     return MetricGraph(base, np.asarray(lengths, dtype=float), dirichlet_nodes=(0,))
+
+
+def run_one_blas_thread(code, timeout=300):
+    """Run ``code`` in a fresh interpreter with one BLAS thread; return its stdout.
+
+    Bit-for-bit claims about BLAS products hold under one thread: with more,
+    OpenBLAS splits a product by its thread count.  The test fails with the
+    child's stderr if it exits nonzero, and with a timeout if it hangs.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout

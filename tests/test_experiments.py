@@ -18,6 +18,8 @@ from mgopt.assembly import ProblemData, assemble_stiffness, build_operators
 from mgopt.graphs import MetricGraph, dump_graph_json, make_fdm_L_graph, make_star
 from mgopt.mesh import build_mesh
 
+from helpers import run_one_blas_thread
+
 
 def test_resolve_graph_spec_generators():
     g = resolve_graph_spec("star:12")
@@ -104,6 +106,52 @@ def test_iteration_study_parallel_matches_serial(tmp_path):
     serial = iteration_study(StudyConfig(**base, jobs=1))
     parallel = iteration_study(StudyConfig(**base, jobs=3))
     assert [c.iterations for c in serial.cells] == [c.iterations for c in parallel.cells]
+
+
+def test_iteration_study_parallel_split_basis_matches_serial():
+    # with the split threshold at 0 and meshes solved on three threads, a
+    # solve that runs alone splits its products and one that runs next to
+    # another does not: every Krylov solve, preconditioned and not, gives
+    # the x and residuals of the serial study without the split, bit for bit
+    # (thread switches every 10 us, to interleave the solves finely)
+    run_one_blas_thread("""
+        import sys
+        from dataclasses import replace
+
+        import numpy as np
+        from mgopt import experiments, optcontrol
+        from mgopt.experiments import StudyConfig, iteration_study
+        from mgopt.graphs import make_star
+
+        solves = {}
+        gmres = optcontrol.gmres
+
+        def keeping(apply_a, b, apply_p_inv=None, **kw):
+            res = gmres(apply_a, b, apply_p_inv, **kw)
+            solves[(b.size, apply_a.__self__.beta, apply_p_inv is None)] = res
+            return res
+
+        optcontrol.gmres = experiments.gmres = keeping
+        optcontrol._two_cpus = lambda: True
+        sys.setswitchinterval(1e-5)
+        cfg = StudyConfig(graph=make_star(4), betas=(1e-2, 1e-3), ne_values=(8, 16, 32),
+                          include_unpreconditioned=True)
+        runs = []
+        for minimum, jobs in ((2**62, 1), (0, 1), (0, 3)):
+            optcontrol._SPLIT_MIN_ENTRIES = minimum
+            solves = {}
+            cells = iteration_study(replace(cfg, jobs=jobs)).cells
+            runs.append(([(c.beta, c.n_e, c.iterations, c.unprecond_iterations) for c in cells],
+                         solves))
+        (cells, serial), *others = runs
+        assert len(serial) == 12 and max(r.iterations for r in serial.values()) > 16
+        for other_cells, other in others:
+            assert other_cells == cells
+            assert other.keys() == serial.keys()
+            for key, res in serial.items():
+                assert np.array_equal(other[key].x, res.x), key
+                assert np.array_equal(other[key].residuals, res.residuals), key
+    """)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])

@@ -57,14 +57,15 @@ def test_state_decomposition():
     ops = build(g, 4, c0=1.0, f=2.0)
     u = rng.standard_normal(g.n_dirichlet)
     sol = solve_state(ops, u=u, f_vec=ops.f_vec)
-    combined = harmonic_extension(ops, u).values + sol.y_f.values
+    source_driven = solve_state(ops, f_vec=ops.f_vec).y.values
+    combined = harmonic_extension(ops, u).values + source_driven
     assert np.linalg.norm(sol.y.values - combined) <= 1e-12 * max(np.linalg.norm(combined), 1.0)
     assert np.allclose(sol.y.values[ops.mesh.vertex_dof[ops.mesh.dirichlet_vertices]], u)
 
 
-def test_state_solve_makes_two_kff_solves(monkeypatch):
-    # y and its source-driven part y_f; the control-driven part is
-    # harmonic_extension(ops, u), which solve_state does not repeat
+def test_state_solve_makes_one_kff_solve(monkeypatch):
+    # y alone; its source-driven part is solve_state at zero control and its
+    # control-driven part harmonic_extension(ops, u)
     ops = build(make_star(3), 4, c0=1.0, f=2.0)
     kff = ops.kff_factor()
     calls = []
@@ -72,7 +73,7 @@ def test_state_solve_makes_two_kff_solves(monkeypatch):
     monkeypatch.setattr(linalg.Factorization, "solve", lambda fac, b: calls.append(fac) or solve(fac, b))
     solve_state(ops, u=np.ones(3), f_vec=ops.f_vec)
     # the graph factor's inner vertex solves go through Factorization.solve too
-    assert sum(fac is kff for fac in calls) == 2
+    assert sum(fac is kff for fac in calls) == 1
 
 
 def test_state_not_coercive():
