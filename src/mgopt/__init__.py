@@ -21,15 +21,12 @@ from .graphs import (
     CombinatorialGraph,
     GraphFormatError,
     MetricGraph,
-    graph_laplacian,
-    incidence_matrix,
     load_graph_json,
     load_matrix_market,
     make_fdm_L_graph,
     make_path,
     make_star,
     metric_from_combinatorial,
-    normalized_laplacian,
 )
 from .mesh import (
     ExtendedMesh,

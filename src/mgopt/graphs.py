@@ -1,4 +1,4 @@
-"""Combinatorial and metric graphs: Laplacians, generators, file loaders."""
+"""Combinatorial and metric graphs: generators and file loaders."""
 
 from __future__ import annotations
 
@@ -88,10 +88,6 @@ class CombinatorialGraph:
         data = np.concatenate([self.edge_weights, self.edge_weights])
         return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
-    def degrees(self) -> np.ndarray:
-        """Weighted vertex degrees d(v)."""
-        return np.asarray(self.weight_matrix().sum(axis=1)).ravel()
-
 
 def same_graph(a: "MetricGraph", b: "MetricGraph") -> bool:
     """Structural equality of two metric graphs (topology, lengths, node types)."""
@@ -147,39 +143,6 @@ class MetricGraph:
     def kirchhoff_nodes(self) -> tuple[int, ...]:
         dset = set(self.dirichlet_nodes)
         return tuple(v for v in range(self.base.n_vertices) if v not in dset)
-
-
-def incidence_matrix(g: CombinatorialGraph | MetricGraph) -> sp.csr_matrix:
-    """Oriented vertex-edge incidence matrix: column e has -1 at tail, +1 at head."""
-    base = g.base if isinstance(g, MetricGraph) else g
-    n, m = base.n_vertices, base.n_edges
-    if m == 0:
-        return sp.csr_matrix((n, 0))
-    tails = np.array([e[0] for e in base.edges])
-    heads = np.array([e[1] for e in base.edges])
-    cols = np.arange(m)
-    rows = np.concatenate([tails, heads])
-    data = np.concatenate([-np.ones(m), np.ones(m)])
-    return sp.coo_matrix((data, (rows, np.concatenate([cols, cols]))), shape=(n, m)).tocsr()
-
-
-def graph_laplacian(g: CombinatorialGraph | MetricGraph) -> sp.csr_matrix:
-    """Weighted graph Laplacian L = D - W."""
-    base = g.base if isinstance(g, MetricGraph) else g
-    w = base.weight_matrix()
-    return (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
-
-
-def normalized_laplacian(g: CombinatorialGraph | MetricGraph) -> sp.csr_matrix:
-    """Symmetric normalized Laplacian I - D^{-1/2} W D^{-1/2}."""
-    base = g.base if isinstance(g, MetricGraph) else g
-    d = base.degrees()
-    if np.any(d <= 0):
-        isolated = int(np.nonzero(d <= 0)[0][0])
-        raise ValueError(f"normalized Laplacian undefined: vertex {isolated} has degree 0")
-    dinv = sp.diags(1.0 / np.sqrt(d))
-    n = base.n_vertices
-    return (sp.identity(n) - dinv @ base.weight_matrix() @ dinv).tocsr()
 
 
 def make_star(n_leaves: int, leaf_type: str = DIRICHLET) -> MetricGraph:
@@ -366,20 +329,3 @@ def load_graph_json(path) -> MetricGraph:
         n, tuple(edges), np.array(weights), coords if have_coords else None
     )
     return MetricGraph(base, np.array(lengths), tuple(dirichlet))
-
-
-def dump_graph_json(graph: MetricGraph, path) -> None:
-    """Write a metric graph in the JSON interchange format read by load_graph_json."""
-    dset = set(graph.dirichlet_nodes)
-    vertices = []
-    for v in range(graph.n_vertices):
-        entry = {"id": v, "type": DIRICHLET if v in dset else KIRCHHOFF}
-        if graph.base.coordinates is not None:
-            entry["x"] = float(graph.base.coordinates[v, 0])
-            entry["y"] = float(graph.base.coordinates[v, 1])
-        vertices.append(entry)
-    edges = [
-        {"u": u, "v": v, "length": float(graph.lengths[k]), "weight": float(graph.base.edge_weights[k])}
-        for k, (u, v) in enumerate(graph.edges)
-    ]
-    Path(path).write_text(json.dumps({"vertices": vertices, "edges": edges}, indent=1))

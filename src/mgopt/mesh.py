@@ -51,16 +51,6 @@ class ExtendedMesh:
     def h_max(self) -> float:
         return float(self.h_per_edge.max()) if self.h_per_edge.size else 0.0
 
-    def edge_node_dofs(self, e: int) -> np.ndarray:
-        """DOFs of all grid nodes along edge e, ordered from tail to head."""
-        tail, head = self.graph.edges[e]
-        ne = int(self.n_intervals[e])
-        out = np.empty(ne + 1, dtype=int)
-        out[0] = self.vertex_dof[tail]
-        out[1:ne] = self.interior_offsets[e] + np.arange(ne - 1)
-        out[ne] = self.vertex_dof[head]
-        return out
-
     def edge_node_positions(self, e: int) -> np.ndarray:
         """Arc-length coordinates of the grid nodes of edge e, from the tail."""
         ne = int(self.n_intervals[e])

@@ -391,7 +391,9 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
 
     Solves A x = b with the Arnoldi process on A P^{-1}; right preconditioning
     keeps the recurrence residual equal to the true residual, and the method
-    terminates as soon as ||b - A x|| <= tol ||b||.  The iteration count is
+    terminates as soon as ||b - A x|| <= tol ||b||.  The solution is formed
+    as x = P^{-1} (V y) from the one Krylov basis V, so ``apply_p_inv`` must
+    be the same linear map at every step.  The iteration count is
     the number of Arnoldi steps; the residual history holds the relative
     residual after each step.
     """
@@ -408,7 +410,6 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
 def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     b = np.asarray(b, dtype=float)
     n = b.size
-    preconditioned = apply_p_inv is not None
     if apply_p_inv is None:
         apply_p_inv = lambda q: q
     if max_it is None:
@@ -421,15 +422,11 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     if residuals[0] <= tol:
         return KrylovResult(np.zeros(n), 0, True, np.array(residuals), 1.0, 1.0)
 
-    # Only written entries are read: the bases column by column, H by its
+    # Only written entries are read: the basis column by column, H by its
     # upper triangle.  np.empty keeps the unused columns out of the resident
     # set; np.zeros clears all of them when the allocator recycles heap memory.
     v = np.empty((n, k_max + 1), order="F")
     v[:, 0] = b / b_norm
-    # The preconditioned basis is kept so the solution can be combined
-    # directly in solution space; mapping V y through P^{-1} instead would
-    # amplify roundoff by the spread of the preconditioner block scales.
-    z = np.empty((n, k_max), order="F") if preconditioned else v
     h = np.empty((k_max + 1, k_max), order="F")
     cs, sn = [], []  # Givens rotations, as Python floats
     g = np.zeros(k_max + 1)
@@ -437,7 +434,7 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
 
     def form_solution(k):
         y = scipy.linalg.solve_triangular(h[:k, :k], g[:k], check_finite=False)
-        return _basis_dot(z[:, :k], y)
+        return np.asarray(apply_p_inv(_basis_dot(v[:, :k], y)), dtype=float)
 
     k_used = 0
     converged = False
@@ -448,8 +445,6 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     target = tol
     for k in range(k_max):
         zk = np.asarray(apply_p_inv(v[:, k]), dtype=float)
-        if preconditioned:
-            z[:, k] = zk
         w = np.asarray(apply_a(zk), dtype=float)
         # Classical Gram-Schmidt with one reorthogonalization pass.
         basis = v[:, : k + 1]

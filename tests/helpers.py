@@ -1,5 +1,5 @@
-"""Shared test oracles: element-by-element assembly, tridiagonal solves, random graphs,
-and a fresh interpreter with one BLAS thread.
+"""Shared test oracles: the graph Laplacian, per-edge DOF walks, element-by-element
+assembly, tridiagonal solves, random graphs, and a fresh interpreter with one BLAS thread.
 
 These deliberately avoid the incidence-matrix code paths they are used to
 check.
@@ -12,15 +12,34 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from mgopt.graphs import CombinatorialGraph, MetricGraph
+
+
+def graph_laplacian(g):
+    """Weighted graph Laplacian L = D - W of a combinatorial or metric graph."""
+    base = g.base if isinstance(g, MetricGraph) else g
+    w = base.weight_matrix()
+    return (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
+
+
+def edge_node_dofs(mesh, e):
+    """DOFs of all grid nodes along edge e, ordered from tail to head."""
+    tail, head = mesh.graph.edges[e]
+    ne = int(mesh.n_intervals[e])
+    out = np.empty(ne + 1, dtype=int)
+    out[0] = mesh.vertex_dof[tail]
+    out[1:ne] = mesh.interior_offsets[e] + np.arange(ne - 1)
+    out[ne] = mesh.vertex_dof[head]
+    return out
 
 
 def element_stiffness(mesh):
     """Dense stiffness matrix assembled interval by interval."""
     a = np.zeros((mesh.n_dof, mesh.n_dof))
     for e in range(mesh.graph.n_edges):
-        dofs = mesh.edge_node_dofs(e)
+        dofs = edge_node_dofs(mesh, e)
         w = 1.0 / mesh.h_per_edge[e]
         for k in range(int(mesh.n_intervals[e])):
             i, j = dofs[k], dofs[k + 1]
@@ -36,7 +55,7 @@ def element_mass(mesh, coefficient=1.0):
     c = np.full(mesh.graph.n_edges, float(coefficient)) if np.isscalar(coefficient) else np.asarray(coefficient)
     m = np.zeros((mesh.n_dof, mesh.n_dof))
     for e in range(mesh.graph.n_edges):
-        dofs = mesh.edge_node_dofs(e)
+        dofs = edge_node_dofs(mesh, e)
         w = c[e] * mesh.h_per_edge[e] / 6.0
         for k in range(int(mesh.n_intervals[e])):
             i, j = dofs[k], dofs[k + 1]
@@ -55,7 +74,7 @@ def element_load(mesh, g):
     """
     b = np.zeros(mesh.n_dof)
     for e in range(mesh.graph.n_edges):
-        dofs = mesh.edge_node_dofs(e)
+        dofs = edge_node_dofs(mesh, e)
         x = mesh.edge_node_positions(e)
         vals = np.asarray(g(e, x), dtype=float) if callable(g) else np.full(x.size, float(g[e]))
         w = mesh.h_per_edge[e] / 6.0

@@ -18,7 +18,6 @@ from mgopt.assembly import (
 from mgopt.graphs import (
     CombinatorialGraph,
     MetricGraph,
-    graph_laplacian,
     make_fdm_L_graph,
     make_path,
     make_star,
@@ -28,9 +27,11 @@ from mgopt.mesh import ExtendedMesh, build_mesh
 from mgopt.pde import harmonic_extension
 
 from helpers import (
+    edge_node_dofs,
     element_load,
     element_mass,
     element_stiffness,
+    graph_laplacian,
     graph_with_floating_triangle,
     random_metric_graph,
 )
@@ -110,7 +111,7 @@ def test_load_hat_function_is_mass_column():
     hat[k] = 1.0
 
     def sampler(e, x):
-        return np.interp(x, mesh.edge_node_positions(e), hat[mesh.edge_node_dofs(e)])
+        return np.interp(x, mesh.edge_node_positions(e), hat[edge_node_dofs(mesh, e)])
 
     load = assemble_load(mesh, sampler)
     assert np.allclose(load, m.toarray()[:, k], rtol=0, atol=1e-15)

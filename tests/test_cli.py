@@ -38,6 +38,18 @@ def test_solve_minres_path(capsys):
     assert "stop_residual=" in out
 
 
+def test_solve_memory_error_is_reported(capsys, monkeypatch):
+    # a Krylov basis too large to allocate; raised, not allocated for real
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 323. GiB for an array with shape (433377, 100001)")
+
+    monkeypatch.setattr(cli, "solve_ocp_assembled", out_of_memory)
+    code = cli_main(["solve", "--graph", "star:3", "--ne", "4", "--precon", "none"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: Unable to allocate 323. GiB for an array with shape (433377, 100001)\n"
+
+
 def test_solve_dump_matrices(tmp_path, capsys, monkeypatch):
     # the solve and the dump share one assembly
     calls = []

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from mgopt.experiments import (
 )
 from mgopt import assembly, linalg
 from mgopt.assembly import ProblemData, assemble_stiffness, build_operators
-from mgopt.graphs import MetricGraph, dump_graph_json, make_fdm_L_graph, make_star
+from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_star
 from mgopt.mesh import build_mesh
 
 from helpers import run_one_blas_thread
@@ -37,9 +38,13 @@ def test_resolve_graph_spec_generators():
 
 
 def test_resolve_graph_spec_files(tmp_path):
-    g = make_star(4)
+    # a star: Kirchhoff center 0 and four Dirichlet leaves
+    payload = {
+        "vertices": [{"id": 0}] + [{"id": v, "type": "dirichlet"} for v in range(1, 5)],
+        "edges": [{"u": 0, "v": v} for v in range(1, 5)],
+    }
     json_path = tmp_path / "g.json"
-    dump_graph_json(g, json_path)
+    json_path.write_text(json.dumps(payload))
     back = resolve_graph_spec(str(json_path))
     assert back.n_edges == 4
     mtx = tmp_path / "g.mtx"

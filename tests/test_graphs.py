@@ -9,52 +9,27 @@ from mgopt.graphs import (
     CombinatorialGraph,
     GraphFormatError,
     MetricGraph,
-    dump_graph_json,
     fisher_yates_choice,
-    graph_laplacian,
-    incidence_matrix,
     load_graph_json,
     load_matrix_market,
     make_fdm_L_graph,
     make_path,
     make_star,
     metric_from_combinatorial,
-    normalized_laplacian,
 )
+from mgopt.mesh import build_mesh, extended_incidence
 
-from helpers import random_metric_graph
+from helpers import graph_laplacian, random_metric_graph
 
 
 def path2():
     return CombinatorialGraph(2, ((0, 1),), np.ones(1))
 
 
-def test_incidence_two_node_path():
-    e = incidence_matrix(path2()).toarray()
-    assert np.array_equal(e, [[-1.0], [1.0]])
-    assert np.array_equal((e @ e.T), [[1.0, -1.0], [-1.0, 1.0]])
-
-
-def test_incidence_star_laplacian():
-    # center 0 with leaves 1, 2: degrees (2, 1, 1), -1 between center and leaves
-    g = CombinatorialGraph(3, ((0, 1), (0, 2)), np.ones(2))
-    lap = (incidence_matrix(g) @ incidence_matrix(g).T).toarray()
-    expected = np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    assert np.array_equal(lap, expected)
-
-
-def test_incidence_empty_edge_set():
-    g = CombinatorialGraph(3, (), np.zeros(0))
-    e = incidence_matrix(g)
-    assert e.shape == (3, 0)
-    assert (e @ e.T).nnz == 0
-
-
 def test_laplacians_two_node_path():
     g = path2()
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.array_equal(graph_laplacian(g).toarray(), expected)
-    assert np.allclose(normalized_laplacian(g).toarray(), expected)
 
 
 def test_laplacian_triangle():
@@ -69,12 +44,6 @@ def test_laplacian_single_vertex():
     assert graph_laplacian(g).toarray() == np.zeros((1, 1))
 
 
-def test_normalized_laplacian_isolated_vertex_errors():
-    g = CombinatorialGraph(3, ((0, 1),), np.ones(1))
-    with pytest.raises(ValueError, match="degree 0"):
-        normalized_laplacian(g)
-
-
 def test_laplacian_symmetry_and_row_sums():
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -82,15 +51,16 @@ def test_laplacian_symmetry_and_row_sums():
         lap = graph_laplacian(g).toarray()
         assert np.array_equal(lap, lap.T)
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
-        ls = normalized_laplacian(g).toarray()
-        assert np.allclose(ls, ls.T)
 
 
 def test_incidence_matches_laplacian_unit_weights():
+    # with one interval per edge the mesh incidence is the graph incidence,
+    # rows in DOF order
     rng = np.random.default_rng(11)
     for _ in range(5):
-        g = random_metric_graph(rng).base
-        e = incidence_matrix(g)
+        g = random_metric_graph(rng)
+        mesh = build_mesh(g, 1)
+        e = extended_incidence(mesh)[mesh.vertex_dof]
         assert ((e @ e.T) - graph_laplacian(g)).count_nonzero() == 0
 
 
@@ -177,7 +147,7 @@ def test_weight_lookup():
     assert w[0, 1] == 2.0
     assert w[1, 0] == 2.0
     assert w[0, 2] == 0.0
-    assert np.array_equal(g.degrees(), [2.0, 5.0, 3.0])
+    assert np.array_equal(np.asarray(w.sum(axis=1)).ravel(), [2.0, 5.0, 3.0])
 
 
 def _write(path, text):
@@ -243,13 +213,27 @@ def test_metric_from_combinatorial_unit_fallback():
 
 def test_graph_json_round_trip(tmp_path):
     g = make_fdm_L_graph(4, 3, seed=2)
+    dset = set(g.dirichlet_nodes)
+    xy = g.base.coordinates
+    payload = {
+        "vertices": [
+            {"id": v, "type": DIRICHLET if v in dset else KIRCHHOFF, "x": xy[v, 0], "y": xy[v, 1]}
+            for v in range(g.n_vertices)
+        ],
+        "edges": [
+            {"u": u, "v": v, "length": g.lengths[k], "weight": g.base.edge_weights[k]}
+            for k, (u, v) in enumerate(g.edges)
+        ],
+    }
     path = tmp_path / "graph.json"
-    dump_graph_json(g, path)
+    path.write_text(json.dumps(payload, default=float))
     back = load_graph_json(path)
     assert back.n_vertices == g.n_vertices
     assert back.edges == g.edges
     assert back.dirichlet_nodes == g.dirichlet_nodes
     assert np.array_equal(back.lengths, g.lengths)
+    assert np.array_equal(back.base.edge_weights, g.base.edge_weights)
+    assert np.array_equal(back.base.coordinates, xy)
 
 
 def test_graph_json_defaults_and_errors(tmp_path):

@@ -14,7 +14,7 @@ from mgopt.mesh import (
     prolong,
 )
 
-from helpers import random_metric_graph
+from helpers import edge_node_dofs, random_metric_graph
 
 
 def single_edge(length=1.0):
@@ -70,7 +70,7 @@ def test_extended_incidence_column_signs():
 def test_edge_node_positions():
     mesh = build_mesh(single_edge(2.0), 4)
     assert np.allclose(mesh.edge_node_positions(0), [0.0, 0.5, 1.0, 1.5, 2.0])
-    dofs = mesh.edge_node_dofs(0)
+    dofs = edge_node_dofs(mesh, 0)
     assert dofs[0] == mesh.vertex_dof[0]
     assert dofs[-1] == mesh.vertex_dof[1]
 
@@ -90,7 +90,7 @@ def test_prolong_hat_function():
     vals = np.zeros(coarse.n_dof)
     vals[coarse.interior_offsets[0]] = 1.0  # interior node 1 of edge 0
     out = prolong(PiecewiseLinearFunction(coarse, vals), fine)
-    along_edge = out.values[fine.edge_node_dofs(0)]
+    along_edge = out.values[edge_node_dofs(fine, 0)]
     assert np.array_equal(along_edge, [0.0, 0.5, 1.0, 0.5, 0.0])
 
 
@@ -111,8 +111,8 @@ def test_prolong_restriction_identity():
         vals = rng.standard_normal(coarse.n_dof)
         out = prolong(PiecewiseLinearFunction(coarse, vals), fine)
         for e in range(coarse.graph.n_edges):
-            c_dofs = coarse.edge_node_dofs(e)
-            f_dofs = fine.edge_node_dofs(e)
+            c_dofs = edge_node_dofs(coarse, e)
+            f_dofs = edge_node_dofs(fine, e)
             assert np.array_equal(out.values[f_dofs[:: ratios[e]]], vals[c_dofs])
         # fine vertex DOFs copy the coarse vertex values exactly
         assert np.array_equal(out.values[fine.vertex_dof], vals[coarse.vertex_dof])
@@ -150,7 +150,7 @@ def test_interval_end_dofs_match_extended_incidence():
     rng = np.random.default_rng(4)
     for mesh in nonuniform_meshes(rng, 6):
         tail, head = interval_end_dofs(mesh)
-        walk = [mesh.edge_node_dofs(e) for e in range(mesh.graph.n_edges)]
+        walk = [edge_node_dofs(mesh, e) for e in range(mesh.graph.n_edges)]
         assert np.array_equal(tail, np.concatenate([d[:-1] for d in walk]))
         assert np.array_equal(head, np.concatenate([d[1:] for d in walk]))
         et = extended_incidence(mesh).toarray()
@@ -188,7 +188,7 @@ def test_nodal_values_scalar_and_per_edge():
 def test_nodal_values_sampler():
     mesh = build_mesh(single_edge(), 4)
     vals = nodal_values(mesh, lambda e, x: x**2)
-    along = vals[mesh.edge_node_dofs(0)]
+    along = vals[edge_node_dofs(mesh, 0)]
     assert np.allclose(along, np.array([0.0, 0.25, 0.5, 0.75, 1.0]) ** 2)
     with pytest.raises(ValueError):
         nodal_values(mesh, lambda e, x: x[:-1])

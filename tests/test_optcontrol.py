@@ -391,6 +391,31 @@ def test_gmres_ideal_preconditioner_regression():
     assert res.iterations == 3
 
 
+def test_gmres_keeps_one_basis():
+    # a fixed preconditioner needs no second basis Z = P^{-1} V: x = P^{-1} (V y)
+    n, max_it = 20000, 40
+    d = np.linspace(1.0, 1e3, n)
+    b = np.random.default_rng(5).standard_normal(n)
+    tracemalloc.start()
+    res = gmres(lambda x: d * x, b, lambda q: q / np.sqrt(d), tol=1e-14, max_it=max_it)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert res.iterations == max_it
+    assert peak < 1.5 * 8 * n * (max_it + 1)
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e-10])
+@pytest.mark.parametrize("precon", ["ideal", "sym", "nonsym"])
+def test_gmres_extreme_beta_true_residual(beta, precon):
+    # the residual is taken against the dense KKT matrix, apart from the solver
+    data = ProblemData(beta=beta, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(make_fdm_L_graph(10, seed=1), 8), data)
+    res, kkt, _ = solve_kkt(ops, data, "gmres", precon, tol=1e-8)
+    assert res.converged
+    rhs = kkt.rhs
+    assert np.linalg.norm(rhs - kkt.as_dense() @ res.x) <= 1e-8 * np.linalg.norm(rhs)
+
+
 def test_basis_products_split_bit_for_bit():
     # the halves of a split product equal one BLAS call in every bit: n odd
     # and even and around multiples of 64, k around multiples of 8, bases

@@ -9,7 +9,7 @@ from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make
 from mgopt.mesh import build_mesh, nodal_values
 from mgopt.pde import discrete_kirchhoff, harmonic_extension, solve_adjoint, solve_state
 
-from helpers import random_metric_graph
+from helpers import edge_node_dofs, random_metric_graph
 
 
 def single_edge(length=1.0):
@@ -30,7 +30,7 @@ def test_state_ramp_on_single_edge():
     n_e = 8
     ops = build(single_edge(), n_e, c0=0.0)
     sol = solve_state(ops, u=np.array([0.0, 1.0]))
-    along = sol.y.values[ops.mesh.edge_node_dofs(0)]
+    along = sol.y.values[edge_node_dofs(ops.mesh, 0)]
     assert np.allclose(along, np.arange(n_e + 1) / n_e, atol=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_state_sinh_closed_form():
     sol = solve_state(ops, u=np.array([0.0, 1.0]))
     x = ops.mesh.edge_node_positions(0)
     exact = np.sinh(x) / np.sinh(1.0)
-    err = np.abs(sol.y.values[ops.mesh.edge_node_dofs(0)] - exact).max()
+    err = np.abs(sol.y.values[edge_node_dofs(ops.mesh, 0)] - exact).max()
     assert err <= 1e-3
 
 
@@ -138,7 +138,7 @@ def test_adjoint_poisson_closed_form():
     ops = build(single_edge(L), 8, c0=0.0)
     p = solve_adjoint(ops, np.ones(ops.mesh.n_dof))
     x = ops.mesh.edge_node_positions(0)
-    assert np.allclose(p.values[ops.mesh.edge_node_dofs(0)], x * (L - x) / 2, atol=1e-10)
+    assert np.allclose(p.values[edge_node_dofs(ops.mesh, 0)], x * (L - x) / 2, atol=1e-10)
 
 
 def test_kirchhoff_zero():
