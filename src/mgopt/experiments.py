@@ -181,7 +181,7 @@ def iteration_study(cfg: StudyConfig) -> IterationStudy:
             time_s=time.perf_counter() - t0,
         )
         if cfg.include_unpreconditioned:
-            maxit = min(ops.mesh.n_dof, cfg.max_it or ops.mesh.n_dof)
+            maxit = ops.mesh.n_dof if cfg.max_it is None else min(ops.mesh.n_dof, cfg.max_it)
             t1 = time.perf_counter()
             plain = gmres(kkt.apply, kkt.rhs, None, tol=cfg.tol, max_it=maxit)
             cell.unprecond_time_s = time.perf_counter() - t1

@@ -76,18 +76,6 @@ class CombinatorialGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def weight_matrix(self) -> sp.csr_matrix:
-        """Symmetric weight matrix W."""
-        n = self.n_vertices
-        if not self.edges:
-            return sp.csr_matrix((n, n))
-        tails = np.array([e[0] for e in self.edges])
-        heads = np.array([e[1] for e in self.edges])
-        rows = np.concatenate([tails, heads])
-        cols = np.concatenate([heads, tails])
-        data = np.concatenate([self.edge_weights, self.edge_weights])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-
 
 def same_graph(a: "MetricGraph", b: "MetricGraph") -> bool:
     """Structural equality of two metric graphs (topology, lengths, node types)."""

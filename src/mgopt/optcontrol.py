@@ -386,6 +386,11 @@ def _basis_dot(basis: np.ndarray, c: np.ndarray) -> np.ndarray:
     return basis @ c
 
 
+def _require_cap(max_it: int) -> None:
+    if max_it < 0:
+        raise ValueError(f"iteration cap must be at least 0, got {max_it}")
+
+
 def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
     """Right-preconditioned GMRES without restarts.
 
@@ -414,6 +419,7 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
         apply_p_inv = lambda q: q
     if max_it is None:
         max_it = n
+    _require_cap(max_it)
     k_max = min(max_it, n)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -422,21 +428,30 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     if residuals[0] <= tol:
         return KrylovResult(np.zeros(n), 0, True, np.array(residuals), 1.0, 1.0)
 
-    # Only written entries are read: the basis column by column, H by its
-    # upper triangle.  np.empty keeps the unused columns out of the resident
-    # set; np.zeros clears all of them when the allocator recycles heap memory.
+    # Only written basis columns are read.  np.empty keeps the unused ones out
+    # of the resident set; np.zeros clears all of them when the allocator
+    # recycles heap memory.
     v = np.empty((n, k_max + 1), order="F")
     v[:, 0] = b / b_norm
-    h = np.empty((k_max + 1, k_max), order="F")
+    # R, the Givens-rotated Hessenberg matrix, one array per column.  numpy
+    # advises huge pages for arrays of 4 MB and more, so short columns written
+    # into one (k_max+1) x k_max array would fault in whole 2 MB pages.
+    r_cols = []
     cs, sn = [], []  # Givens rotations, as Python floats
     g = np.zeros(k_max + 1)
     g[0] = b_norm
 
-    def form_solution(k):
-        y = scipy.linalg.solve_triangular(h[:k, :k], g[:k], check_finite=False)
+    def form_solution():
+        # C order: scipy hands LAPACK R^T in Fortran order and solves with
+        # the transpose; an F-ordered R takes LAPACK's untransposed path,
+        # which rounds differently and moves the last bits of x
+        k = len(r_cols)
+        r = np.zeros((k, k))
+        for j, col in enumerate(r_cols):
+            r[: j + 1, j] = col
+        y = scipy.linalg.solve_triangular(r, g[:k], check_finite=False)
         return np.asarray(apply_p_inv(_basis_dot(v[:, :k], y)), dtype=float)
 
-    k_used = 0
     converged = False
     x = None
     true_res = None
@@ -455,28 +470,30 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
         coeffs = coeffs + corr
         h_next = float(np.linalg.norm(w))
         # the stored rotations, on Python floats: numpy scalar arithmetic
-        # rounds the same but costs about a microsecond per operation
-        col = coeffs.tolist() + [h_next]
+        # rounds the same but costs about a microsecond per operation.  The
+        # entry the next rotation also turns is carried in ``top``.
+        col = coeffs.tolist()
+        top = col[0]
         for i in range(k):
             c, s = cs[i], sn[i]
-            col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s * col[i] + c * col[i + 1]
-        denom = float(np.hypot(col[k], col[k + 1]))
+            below = col[i + 1]
+            col[i], top = c * top + s * below, -s * top + c * below
+        denom = float(np.hypot(top, h_next))
         if denom == 0.0:
             cs.append(1.0)
             sn.append(0.0)
         else:
-            cs.append(col[k] / denom)
-            sn.append(col[k + 1] / denom)
-        col[k], col[k + 1] = denom, 0.0
-        h[: k + 2, k] = col
+            cs.append(top / denom)
+            sn.append(h_next / denom)
+        col[k] = denom
+        r_cols.append(np.array(col))
         g[k + 1] = -sn[k] * g[k]
         g[k] = cs[k] * g[k]
-        k_used = k + 1
         rel = abs(g[k + 1]) / b_norm
         residuals.append(rel)
         breakdown = h_next <= 1e-14 * b_norm
         if rel <= target or breakdown:
-            cand = form_solution(k_used)
+            cand = form_solution()
             cand_res = float(np.linalg.norm(b - np.asarray(apply_a(cand))) / b_norm)
             if true_res is None or cand_res < true_res:
                 x, true_res = cand, cand_res
@@ -491,12 +508,12 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
         v[:, k + 1] = w / h_next
 
     if not converged:
-        final = form_solution(k_used)
+        final = form_solution()
         final_res = float(np.linalg.norm(b - np.asarray(apply_a(final))) / b_norm)
         if true_res is None or final_res < true_res:
             x, true_res = final, final_res
         converged = true_res <= tol
-    return KrylovResult(x, k_used, converged, np.array(residuals), true_res, true_res)
+    return KrylovResult(x, len(r_cols), converged, np.array(residuals), true_res, true_res)
 
 
 def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
@@ -513,6 +530,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
         apply_p_inv = lambda q: q
     if max_it is None:
         max_it = n
+    _require_cap(max_it)
 
     rng = np.random.default_rng(12345)
     vp = rng.standard_normal(n)

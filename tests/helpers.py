@@ -1,5 +1,6 @@
-"""Shared test oracles: the graph Laplacian, per-edge DOF walks, element-by-element
-assembly, tridiagonal solves, random graphs, and a fresh interpreter with one BLAS thread.
+"""Shared test oracles: the weight matrix and graph Laplacian, per-edge DOF walks,
+element-by-element assembly, tridiagonal solves, random graphs and meshes, and a
+fresh interpreter with one BLAS thread.
 
 These deliberately avoid the incidence-matrix code paths they are used to
 check.
@@ -13,14 +14,25 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from mgopt.graphs import CombinatorialGraph, MetricGraph
+from mgopt.mesh import ExtendedMesh
+
+
+def weight_matrix(g):
+    """Symmetric weight matrix W of a combinatorial graph, edge by edge."""
+    n = g.n_vertices
+    w = sp.lil_matrix((n, n))
+    for (u, v), weight in zip(g.edges, g.edge_weights):
+        w[u, v] = w[v, u] = weight
+    return w.tocsr()
 
 
 def graph_laplacian(g):
     """Weighted graph Laplacian L = D - W of a combinatorial or metric graph."""
     base = g.base if isinstance(g, MetricGraph) else g
-    w = base.weight_matrix()
+    w = weight_matrix(base)
     return (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
 
 
@@ -122,6 +134,39 @@ def random_metric_graph(rng, n_min=4, n_max=12, extra_edges=2, unit_lengths=Fals
     k = int(rng.integers(1, max(2, n // 2) + 1))
     dirichlet = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
     return MetricGraph(base, lengths, dirichlet)
+
+
+@st.composite
+def nonuniform_meshes(draw):
+    """A random connected graph, edges in random orientation, meshed with its
+    own interval count on each edge, and a per-edge mass coefficient."""
+    n = draw(st.integers(2, 14))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+    m = len(edges)
+    lengths = draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m))
+    dirichlet = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    counts = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    c0 = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+    base = CombinatorialGraph(n, tuple(edges), np.ones(m))
+    return ExtendedMesh(MetricGraph(base, np.array(lengths), tuple(dirichlet)), counts), np.array(c0)
+
+
+@st.composite
+def controlled_meshes(draw):
+    """A ``nonuniform_meshes`` draw with at least one control vertex, which
+    anchors the connected graph also where c0 = 0; sometimes both ends of
+    its first edge are controls, and sometimes c0 vanishes on every edge."""
+    mesh, c0 = draw(nonuniform_meshes())
+    g = mesh.graph
+    dirichlet = set(g.dirichlet_nodes) | {draw(st.integers(0, g.n_vertices - 1))}
+    if draw(st.booleans()):
+        dirichlet |= set(g.edges[0])
+    if draw(st.booleans()):
+        c0 = np.zeros_like(c0)
+    return ExtendedMesh(MetricGraph(g.base, g.lengths, tuple(dirichlet)), mesh.n_intervals), c0
 
 
 def graph_with_floating_triangle(lengths=(1.0,) * 6):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mgopt.assembly import (
     ProblemData,
@@ -27,12 +26,14 @@ from mgopt.mesh import ExtendedMesh, build_mesh
 from mgopt.pde import harmonic_extension
 
 from helpers import (
+    controlled_meshes,
     edge_node_dofs,
     element_load,
     element_mass,
     element_stiffness,
     graph_laplacian,
     graph_with_floating_triangle,
+    nonuniform_meshes,
     random_metric_graph,
 )
 
@@ -180,24 +181,6 @@ def test_partition_transpose_consistency():
     assert (k.tocsr()[mesh.n_free :, : mesh.n_free] - blocks.fd.T).count_nonzero() == 0
 
 
-@st.composite
-def nonuniform_meshes(draw):
-    """A random connected graph, edges in random orientation, meshed with its
-    own interval count on each edge, and a per-edge mass coefficient."""
-    n = draw(st.integers(2, 14))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
-    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
-    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
-    m = len(edges)
-    lengths = draw(st.lists(st.floats(0.05, 5.0), min_size=m, max_size=m))
-    dirichlet = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    counts = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
-    c0 = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
-    base = CombinatorialGraph(n, tuple(edges), np.ones(m))
-    return ExtendedMesh(MetricGraph(base, np.array(lengths), tuple(dirichlet)), counts), np.array(c0)
-
-
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(nonuniform_meshes())
 def test_formula_matches_elementwise_assembly(mesh_and_c0):
@@ -210,21 +193,6 @@ def test_formula_matches_elementwise_assembly(mesh_and_c0):
     m = assemble_mass(mesh, c0).toarray()
     m_ref = element_mass(mesh, c0)
     assert np.abs(m - m_ref).max() <= 1e-14 * max(np.abs(m_ref).max(), 1e-300)
-
-
-@st.composite
-def controlled_meshes(draw):
-    """A ``nonuniform_meshes`` draw with at least one control vertex, which
-    anchors the connected graph also where c0 = 0; sometimes both ends of
-    its first edge are controls, and sometimes c0 vanishes on every edge."""
-    mesh, c0 = draw(nonuniform_meshes())
-    g = mesh.graph
-    dirichlet = set(g.dirichlet_nodes) | {draw(st.integers(0, g.n_vertices - 1))}
-    if draw(st.booleans()):
-        dirichlet |= set(g.edges[0])
-    if draw(st.booleans()):
-        c0 = np.zeros_like(c0)
-    return ExtendedMesh(MetricGraph(g.base, g.lengths, tuple(dirichlet)), mesh.n_intervals), c0
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

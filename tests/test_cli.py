@@ -50,6 +50,14 @@ def test_solve_memory_error_is_reported(capsys, monkeypatch):
     assert err == "error: Unable to allocate 323. GiB for an array with shape (433377, 100001)\n"
 
 
+def test_solve_negative_cap_is_reported(capsys):
+    for solver in (["--solver", "gmres"], ["--solver", "minres", "--precon", "sym"]):
+        code = cli_main(["solve", "--graph", "star:3", "--ne", "4", "--maxit", "-1", *solver])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: iteration cap must be at least 0, got -1\n"
+
+
 def test_solve_dump_matrices(tmp_path, capsys, monkeypatch):
     # the solve and the dump share one assembly
     calls = []

@@ -103,6 +103,9 @@ def test_iteration_study_marks_nonconverged():
     study = iteration_study(cfg)
     assert study.cells[0].iterations is None
     assert "--" in study.format_table()
+    # a cap of 0 holds for the unpreconditioned column too
+    cell = iteration_study(replace(cfg, max_it=0, include_unpreconditioned=True)).cells[0]
+    assert cell.iterations is None and cell.unprecond_iterations is None
 
 
 def test_iteration_study_parallel_matches_serial(tmp_path):

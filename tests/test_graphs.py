@@ -19,7 +19,7 @@ from mgopt.graphs import (
 )
 from mgopt.mesh import build_mesh, extended_incidence
 
-from helpers import graph_laplacian, random_metric_graph
+from helpers import graph_laplacian, random_metric_graph, weight_matrix
 
 
 def path2():
@@ -143,7 +143,7 @@ def test_graph_validation():
 
 def test_weight_lookup():
     g = CombinatorialGraph(3, ((0, 1), (1, 2)), np.array([2.0, 3.0]))
-    w = g.weight_matrix()
+    w = weight_matrix(g)
     assert w[0, 1] == 2.0
     assert w[1, 0] == 2.0
     assert w[0, 2] == 0.0
