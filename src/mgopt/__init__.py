@@ -18,7 +18,6 @@ from .assembly import (
 from .graphs import (
     DIRICHLET,
     KIRCHHOFF,
-    CombinatorialGraph,
     GraphFormatError,
     MetricGraph,
     load_graph_json,
@@ -26,7 +25,6 @@ from .graphs import (
     make_fdm_L_graph,
     make_path,
     make_star,
-    metric_from_combinatorial,
 )
 from .mesh import (
     ExtendedMesh,

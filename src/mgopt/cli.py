@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eig-probe", help="spectra of the preconditioned operators (small scale)")
     _add_common(p, study=True)
-    p.add_argument("--dense-cap", type=int, default=2000, help="dense probe size cap")
     p.set_defaults(func=_cmd_eig_probe)
 
     p = sub.add_parser("graph-info", help="print vertex/edge/control counts of a graph spec")
@@ -108,7 +107,6 @@ def _study_config(args, include_unpre: bool = True) -> StudyConfig:
         ybar=args.ybar,
         jobs=getattr(args, "jobs", 1),
         include_unpreconditioned=include_unpre,
-        dense_cap=getattr(args, "dense_cap", 2000),
         out=args.out,
     )
 

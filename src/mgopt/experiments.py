@@ -23,7 +23,6 @@ from .graphs import (
     make_fdm_L_graph,
     make_path,
     make_star,
-    metric_from_combinatorial,
 )
 from .mesh import build_mesh, prolong
 from .optcontrol import (
@@ -62,8 +61,7 @@ def resolve_graph_spec(spec: str, n_controls: int = 12, seed: int = 0) -> Metric
         raise FileNotFoundError(f"graph file not found: {path}")
     if path.suffix == ".json":
         return load_graph_json(path)
-    base = load_matrix_market(path)
-    return metric_from_combinatorial(base, n_controls=n_controls, seed=seed)
+    return load_matrix_market(path, n_controls=n_controls, seed=seed)
 
 
 @dataclass
@@ -83,7 +81,6 @@ class StudyConfig:
     ybar: object = 1.0
     jobs: int = 1
     include_unpreconditioned: bool = True
-    dense_cap: int = 2000
     out: str | None = None
 
     def __post_init__(self):
@@ -171,7 +168,7 @@ def iteration_study(cfg: StudyConfig) -> IterationStudy:
         t0 = time.perf_counter()
         result, kkt, _ = solve_kkt(
             ops, data, solver=cfg.solver, precon=cfg.precon,
-            tol=cfg.tol, max_it=cfg.max_it, dense_cap=cfg.dense_cap,
+            tol=cfg.tol, max_it=cfg.max_it,
         )
         cell = IterationCell(
             beta=beta,
@@ -336,15 +333,15 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
     for beta in cfg.betas:
         data = cfg.problem_data(beta)
         kkt = build_kkt(ops, data)
-        dense = kkt.as_dense(cap=cfg.dense_cap)
+        dense = kkt.as_dense()
         dim = dense.shape[0]
         for kind in kinds:
-            pc = build_preconditioner(kind, ops, data, dense_cap=cfg.dense_cap)
+            pc = build_preconditioner(kind, ops, data)
             if pc.kind == "none":
                 mat = dense
             else:
                 mat = np.column_stack([pc.apply(dense[:, j]) for j in range(dim)])
-            entries.append((pc.kind, beta, linalg.dense_eigs(mat, cap=cfg.dense_cap)))
+            entries.append((pc.kind, beta, linalg.dense_eigs(mat)))
         # Mass-block probe: exact-Schur block diagonal against the 2x2 mass block.
         n_f, n_d = ops.n_free, ops.n_dirichlet
         mass = np.block(
@@ -354,7 +351,7 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
         m_ff = ops.M_FF.toarray()
         s_m = mass[n_f:, n_f:] - mass[n_f:, :n_f] @ np.linalg.solve(m_ff, mass[:n_f, n_f:])
         block = scipy.linalg.block_diag(m_ff, s_m)
-        entries.append(("mass", beta, linalg.dense_eigs(np.linalg.solve(block, mass), cap=cfg.dense_cap)))
+        entries.append(("mass", beta, linalg.dense_eigs(np.linalg.solve(block, mass))))
     result = EigProbeResult(entries)
     if cfg.out:
         result.write_csv(cfg.out)

@@ -17,6 +17,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
+# Largest dimension of a matrix made dense: the KKT operator in oracles and
+# eigenvalue probes, the ideal preconditioner, and the probed spectra.
+DENSE_CAP = 2000
+
+
 class NotPositiveDefiniteError(ValueError):
     """A symmetric factorization hit a nonpositive pivot."""
 
@@ -82,10 +87,10 @@ def factor(a, kind: str = "cholesky") -> Factorization:
     return Factorization(kind, a.shape[0], lu)
 
 
-def dense_eigs(a, cap: int = 2000) -> np.ndarray:
-    """Eigenvalues of a general real matrix (dense probe, size-capped)."""
+def dense_eigs(a) -> np.ndarray:
+    """Eigenvalues of a general real matrix (dense probe, at most DENSE_CAP rows)."""
     n = a.shape[0]
-    if n > cap:
-        raise ValueError(f"dense eigenvalue probe capped at {cap}, got {n}")
+    if n > DENSE_CAP:
+        raise ValueError(f"dense eigenvalue probe capped at {DENSE_CAP}, got {n}")
     dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
     return scipy.linalg.eigvals(dense)

@@ -52,7 +52,7 @@ class ExtendedMesh:
         return float(self.h_per_edge.max()) if self.h_per_edge.size else 0.0
 
     def edge_node_positions(self, e: int) -> np.ndarray:
-        """Arc-length coordinates of the grid nodes of edge e, from the tail."""
+        """Arc-length positions of the grid nodes of edge e, from the tail."""
         ne = int(self.n_intervals[e])
         return np.arange(ne + 1) * self.h_per_edge[e]
 

@@ -77,10 +77,11 @@ class KktSystem:
         out[nf + nd :] = ops.K_FF @ x1 + ops.K_FD @ x2
         return out
 
-    def as_dense(self, cap: int = 2000) -> np.ndarray:
-        """Materialized operator for oracles and eigenvalue probes, size-capped."""
-        if self.dim > cap:
-            raise ValueError(f"dense KKT materialization capped at {cap}, got {self.dim}")
+    def as_dense(self) -> np.ndarray:
+        """Materialized operator for oracles and eigenvalue probes, at most
+        ``linalg.DENSE_CAP`` rows."""
+        if self.dim > linalg.DENSE_CAP:
+            raise ValueError(f"dense KKT materialization capped at {linalg.DENSE_CAP}, got {self.dim}")
         ops = self.ops
         z = sp.csr_matrix((ops.n_free, ops.n_free))
         full = sp.bmat(
@@ -154,7 +155,7 @@ def _mass_diag_schur(ops: FeOperators, beta: float):
 
 
 def build_preconditioner(
-    kind: str, ops: FeOperators, data: ProblemData, dense_cap: int = 2000
+    kind: str, ops: FeOperators, data: ProblemData
 ) -> Preconditioner:
     """Set up one of the KKT preconditioners with prefactored inner solves.
 
@@ -177,8 +178,8 @@ def build_preconditioner(
 
     if kind == "ideal":
         dim = 2 * n_f + n_d
-        if dim > dense_cap:
-            raise ValueError(f"ideal preconditioner is dense and capped at {dense_cap}, got {dim}")
+        if dim > linalg.DENSE_CAP:
+            raise ValueError(f"ideal preconditioner is dense and capped at {linalg.DENSE_CAP}, got {dim}")
         m2 = sp.bmat(
             [[ops.M_FF, ops.M_FD], [ops.M_FD.T, ops.M_DD + beta * sp.identity(n_d)]]
         ).tocsc()
@@ -386,7 +387,10 @@ def _basis_dot(basis: np.ndarray, c: np.ndarray) -> np.ndarray:
     return basis @ c
 
 
-def _require_cap(max_it: int) -> None:
+def _require_stop(tol: float, max_it: int) -> None:
+    # a tolerance of 0, below 0 or NaN is never met: the run would go to the cap
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     if max_it < 0:
         raise ValueError(f"iteration cap must be at least 0, got {max_it}")
 
@@ -419,7 +423,7 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
         apply_p_inv = lambda q: q
     if max_it is None:
         max_it = n
-    _require_cap(max_it)
+    _require_stop(tol, max_it)
     k_max = min(max_it, n)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
@@ -530,7 +534,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
         apply_p_inv = lambda q: q
     if max_it is None:
         max_it = n
-    _require_cap(max_it)
+    _require_stop(tol, max_it)
 
     rng = np.random.default_rng(12345)
     vp = rng.standard_normal(n)
@@ -665,7 +669,6 @@ def solve_kkt(
     precon: str = "matched_nonsymmetric",
     tol: float = 1e-8,
     max_it: int | None = None,
-    dense_cap: int = 2000,
 ):
     """Build and solve the saddle-point system; returns (result, kkt, preconditioner).
 
@@ -675,7 +678,7 @@ def solve_kkt(
     """
     ops.require_coercive()
     kkt = build_kkt(ops, data)
-    pc = build_preconditioner(precon, ops, data, dense_cap=dense_cap)
+    pc = build_preconditioner(precon, ops, data)
     if max_it is None:
         # unpreconditioned comparison runs are capped near the mesh size;
         # preconditioned runs get a generous cap never below the system size

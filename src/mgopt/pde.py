@@ -76,7 +76,7 @@ def discrete_kirchhoff(ops: FeOperators, p, source) -> np.ndarray:
     """Variational vertex fluxes of p at the Dirichlet nodes.
 
     Evaluates a(phi_v, p) - (source, phi_v) for every Dirichlet vertex v,
-    which in nodal coordinates is the Dirichlet rows of K p - M source.
+    which in the nodal basis is the Dirichlet rows of K p - M source.
     p must vanish at the Dirichlet DOFs.
     """
     pv = _values(p)

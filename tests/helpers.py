@@ -1,4 +1,4 @@
-"""Shared test oracles: the weight matrix and graph Laplacian, per-edge DOF walks,
+"""Shared test oracles: the graph Laplacian, per-edge DOF walks,
 element-by-element assembly, tridiagonal solves, random graphs and meshes, and a
 fresh interpreter with one BLAS thread.
 
@@ -16,23 +16,16 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from mgopt.graphs import CombinatorialGraph, MetricGraph
+from mgopt.graphs import MetricGraph
 from mgopt.mesh import ExtendedMesh
 
 
-def weight_matrix(g):
-    """Symmetric weight matrix W of a combinatorial graph, edge by edge."""
+def graph_laplacian(g):
+    """Unit-weight graph Laplacian L = D - W of a graph, edge by edge."""
     n = g.n_vertices
     w = sp.lil_matrix((n, n))
-    for (u, v), weight in zip(g.edges, g.edge_weights):
-        w[u, v] = w[v, u] = weight
-    return w.tocsr()
-
-
-def graph_laplacian(g):
-    """Weighted graph Laplacian L = D - W of a combinatorial or metric graph."""
-    base = g.base if isinstance(g, MetricGraph) else g
-    w = weight_matrix(base)
+    for u, v in g.edges:
+        w[u, v] = w[v, u] = 1.0
     return (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
 
 
@@ -130,10 +123,9 @@ def random_metric_graph(rng, n_min=4, n_max=12, extra_edges=2, unit_lengths=Fals
         lengths = np.ones(len(edges))
     else:
         lengths = rng.uniform(0.5, 2.0, len(edges))
-    base = CombinatorialGraph(n, edges, np.ones(len(edges)))
     k = int(rng.integers(1, max(2, n // 2) + 1))
     dirichlet = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-    return MetricGraph(base, lengths, dirichlet)
+    return MetricGraph(n, edges, lengths, dirichlet)
 
 
 @st.composite
@@ -150,8 +142,7 @@ def nonuniform_meshes(draw):
     dirichlet = draw(st.sets(st.integers(0, n - 1), max_size=n))
     counts = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
     c0 = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
-    base = CombinatorialGraph(n, tuple(edges), np.ones(m))
-    return ExtendedMesh(MetricGraph(base, np.array(lengths), tuple(dirichlet)), counts), np.array(c0)
+    return ExtendedMesh(MetricGraph(n, tuple(edges), np.array(lengths), tuple(dirichlet)), counts), np.array(c0)
 
 
 @st.composite
@@ -166,14 +157,14 @@ def controlled_meshes(draw):
         dirichlet |= set(g.edges[0])
     if draw(st.booleans()):
         c0 = np.zeros_like(c0)
-    return ExtendedMesh(MetricGraph(g.base, g.lengths, tuple(dirichlet)), mesh.n_intervals), c0
+    return ExtendedMesh(MetricGraph(g.n_vertices, g.edges, g.lengths, tuple(dirichlet)), mesh.n_intervals), c0
 
 
 def graph_with_floating_triangle(lengths=(1.0,) * 6):
     """A controlled triangle 0-1-2 (Dirichlet vertex 0) next to a triangle
     3-4-5 that has no Dirichlet vertex and no edge into the first one."""
-    base = CombinatorialGraph(6, ((0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (2, 0)), np.ones(6))
-    return MetricGraph(base, np.asarray(lengths, dtype=float), dirichlet_nodes=(0,))
+    edges = ((0, 1), (1, 2), (3, 4), (4, 5), (5, 3), (2, 0))
+    return MetricGraph(6, edges, np.asarray(lengths, dtype=float), dirichlet_nodes=(0,))
 
 
 def run_one_blas_thread(code, timeout=300):

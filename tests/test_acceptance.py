@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mgopt.assembly import ProblemData, assemble_mass, assemble_stiffness, build_operators
-from mgopt.graphs import load_matrix_market, make_fdm_L_graph, make_path, make_star, metric_from_combinatorial
+from mgopt.graphs import load_matrix_market, make_fdm_L_graph, make_path, make_star
 from mgopt.mesh import build_mesh
 from mgopt.optcontrol import (
     build_kkt,
@@ -209,7 +209,7 @@ def test_criterion_8_spectral_clustering():
     g = make_star(12)
     mesh = build_mesh(g, 16)
     assert mesh.n_dof <= 400
-    cfg = StudyConfig(graph=g, betas=(1e-2, 1e-3), ne_values=(16,), dense_cap=2000, **PAPER_DATA)
+    cfg = StudyConfig(graph=g, betas=(1e-2, 1e-3), ne_values=(16,), **PAPER_DATA)
     probe = eig_probe(cfg)
     ok = True
     details = []
@@ -244,13 +244,12 @@ def test_criterion_9_minnesota_smoke():
     if not path.exists():
         pytest.skip("Minnesota dataset not supplied (set MGOPT_MINNESOTA or add tests/data/minnesota.mtx)")
     t0 = time.perf_counter()
-    base = load_matrix_market(path)
-    g = metric_from_combinatorial(base, n_controls=12, seed=1)
+    g = load_matrix_market(path, n_controls=12, seed=1)
     # smallest refinement with n_dof around 2e5
     n_e = max(2, int(round((2e5 - g.n_vertices) / g.n_edges)) + 1)
     data = ProblemData(beta=1e-3, **PAPER_DATA)
     sol = solve_ocp(g, n_e, data, solver="gmres", precon="matched_nonsymmetric", tol=1e-8)
     elapsed = time.perf_counter() - t0
     _verdict(9, sol.stats.converged and sol.stats.iterations <= 120 and elapsed < 300.0,
-             f"{base.n_vertices} vertices, n_dof={sol.stats.n_dof}, "
+             f"{g.n_vertices} vertices, n_dof={sol.stats.n_dof}, "
              f"{sol.stats.iterations} iterations in {elapsed:.1f} s")

@@ -15,7 +15,6 @@ from mgopt.assembly import (
     partition_blocks,
 )
 from mgopt.graphs import (
-    CombinatorialGraph,
     MetricGraph,
     make_fdm_L_graph,
     make_path,
@@ -39,8 +38,7 @@ from helpers import (
 
 
 def single_edge(length=1.0, dirichlet=(0, 1)):
-    base = CombinatorialGraph(2, ((0, 1),), np.ones(1))
-    return MetricGraph(base, np.array([length]), dirichlet)
+    return MetricGraph(2, ((0, 1),), np.array([length]), dirichlet)
 
 
 def test_stiffness_single_edge_two_intervals():
@@ -122,8 +120,7 @@ def test_load_per_edge_jump_at_vertex_hand_values():
     # path 0 - 1 - 2 with one interval per edge, data 3 on the first edge
     # and -1 on the second: every hat function integrates each edge's own
     # constant, so the shared vertex gets (g1 h1 + g2 h2) / 2
-    base = CombinatorialGraph(3, ((0, 1), (1, 2)), np.ones(2))
-    mesh = build_mesh(MetricGraph(base, np.array([0.5, 2.0]), (0,)), 1)
+    mesh = build_mesh(MetricGraph(3, ((0, 1), (1, 2)), np.array([0.5, 2.0]), (0,)), 1)
     g = np.array([3.0, -1.0])
     load = assemble_load(mesh, g)
     expected = np.zeros(mesh.n_dof)
@@ -286,7 +283,7 @@ def test_problem_data_validation():
 
 
 def test_kff_factor_requires_coercivity():
-    g = make_star(3, "kirchhoff")
+    g = MetricGraph(4, ((0, 1), (0, 2), (0, 3)), np.ones(3))  # a star with no Dirichlet node
     mesh = build_mesh(g, 2)
     ops = build_operators(mesh, ProblemData(beta=1.0, c0=0.0))
     with pytest.raises(SingularOperatorError, match="not coercive"):

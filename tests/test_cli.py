@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from mgopt import cli, optcontrol
@@ -56,6 +58,28 @@ def test_solve_negative_cap_is_reported(capsys):
         err = capsys.readouterr().err
         assert code == 1
         assert err == "error: iteration cap must be at least 0, got -1\n"
+
+
+def test_solve_tolerance_never_met_is_reported(capsys):
+    for tol in ("0", "-1", "nan"):
+        for solver in (["--solver", "gmres"], ["--solver", "minres", "--precon", "sym"]):
+            code = cli_main(["solve", "--graph", "star:3", "--ne", "4", "--tol", tol, *solver])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.startswith("error: tolerance must be positive, got ")
+
+
+def test_graph_info_malformed_json_is_reported(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    for vertices, edges, where in (
+        ([{"id": 0}, {"type": "dirichlet"}], [], "vertex entry 1"),
+        ([{"id": 0}, {"id": 1}], [{"u": 0}], "edge entry 0"),
+        ([0, 1], [], "vertex entry 0"),
+    ):
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        assert cli_main(["graph-info", "--graph", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
 
 
 def test_solve_dump_matrices(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from mgopt.experiments import (
     StudyConfig,
@@ -18,6 +19,7 @@ from mgopt import assembly, linalg
 from mgopt.assembly import ProblemData, assemble_stiffness, build_operators
 from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_star
 from mgopt.mesh import build_mesh
+from mgopt.optcontrol import reduced_oracle, solve_ocp
 
 from helpers import run_one_blas_thread
 
@@ -52,6 +54,31 @@ def test_resolve_graph_spec_files(tmp_path):
     loaded = resolve_graph_spec(str(mtx), n_controls=1, seed=0)
     assert loaded.n_edges == 2
     assert loaded.n_dirichlet == 1
+
+
+def test_planar_graph_lengths_from_coordinates(tmp_path):
+    # A stand-in for a road network such as criterion 9's Minnesota graph: a
+    # seeded jittered lattice with its neighbour edges, written as a pattern
+    # MatrixMarket file and a coordinate companion.
+    rng = np.random.default_rng(9)
+    k = 6
+    xy = np.array([(i, j) for i in range(k) for j in range(k)], dtype=float)
+    xy += rng.uniform(-0.3, 0.3, xy.shape)
+    edges = [(k * i + j, k * i + j + 1) for i in range(k) for j in range(k - 1)]
+    edges += [(k * i + j, k * (i + 1) + j) for i in range(k - 1) for j in range(k)]
+    rows, cols = np.array(edges).T
+    adjacency = sp.coo_matrix((np.ones(len(edges)), (cols, rows)), shape=(k * k, k * k))
+    scipy.io.mmwrite(str(tmp_path / "planar.mtx"), adjacency, field="pattern")
+    scipy.io.mmwrite(str(tmp_path / "planar_coord.mtx"), xy)
+    g = resolve_graph_spec(str(tmp_path / "planar.mtx"), n_controls=5, seed=2)
+    assert (g.n_vertices, g.edges, g.n_dirichlet) == (k * k, tuple(sorted(edges)), 5)
+    euclidean = [np.linalg.norm(xy[u] - xy[v]) for u, v in g.edges]
+    assert np.allclose(g.lengths, euclidean, rtol=1e-14, atol=0)
+    assert g.lengths.min() < 0.6 and g.lengths.max() > 1.4
+    data = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    sol = solve_ocp(g, 6, data, solver="gmres", precon="nonsym", tol=1e-12)
+    u_oracle = reduced_oracle(g, 6, data)
+    assert np.linalg.norm(sol.u - u_oracle) <= 1e-8 * np.linalg.norm(u_oracle)
 
 
 def test_study_config_validation():
@@ -254,7 +281,7 @@ def test_convergence_study_second_order_with_per_edge_data_and_lengths():
     # is integrated without an O(h) consistency error
     g = make_fdm_L_graph(10, 12, seed=1)
     rng = np.random.default_rng(1)
-    graph = MetricGraph(g.base, rng.uniform(0.3, 2.5, g.n_edges), g.dirichlet_nodes)
+    graph = MetricGraph(g.n_vertices, g.edges, rng.uniform(0.3, 2.5, g.n_edges), g.dirichlet_nodes)
     cfg = StudyConfig(
         graph=graph,
         betas=(0.1,),
@@ -308,8 +335,10 @@ def test_eig_probe_spectra(tmp_path):
 
 
 def test_eig_probe_cap():
-    cfg = StudyConfig(graph=make_star(4), betas=(1e-2,), ne_values=(32,), dense_cap=40)
-    with pytest.raises(ValueError, match="capped"):
+    # star:4 at ne 300 has 2,398 unknowns, above linalg.DENSE_CAP; the cap
+    # is checked before any dense array is built
+    cfg = StudyConfig(graph=make_star(4), betas=(1e-2,), ne_values=(300,))
+    with pytest.raises(ValueError, match="capped at 2000, got 2398"):
         eig_probe(cfg)
 
 

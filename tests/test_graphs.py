@@ -6,7 +6,6 @@ import pytest
 from mgopt.graphs import (
     DIRICHLET,
     KIRCHHOFF,
-    CombinatorialGraph,
     GraphFormatError,
     MetricGraph,
     fisher_yates_choice,
@@ -15,39 +14,34 @@ from mgopt.graphs import (
     make_fdm_L_graph,
     make_path,
     make_star,
-    metric_from_combinatorial,
 )
 from mgopt.mesh import build_mesh, extended_incidence
 
-from helpers import graph_laplacian, random_metric_graph, weight_matrix
-
-
-def path2():
-    return CombinatorialGraph(2, ((0, 1),), np.ones(1))
+from helpers import graph_laplacian, random_metric_graph
 
 
 def test_laplacians_two_node_path():
-    g = path2()
+    g = MetricGraph(2, ((0, 1),), np.ones(1))
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.array_equal(graph_laplacian(g).toarray(), expected)
 
 
 def test_laplacian_triangle():
-    g = CombinatorialGraph(3, ((0, 1), (1, 2), (0, 2)), np.ones(3))
+    g = MetricGraph(3, ((0, 1), (1, 2), (0, 2)), np.ones(3))
     lap = graph_laplacian(g).toarray()
     assert np.array_equal(lap, 3 * np.eye(3) - np.ones((3, 3)))
     assert np.allclose(lap.sum(axis=1), 0.0)
 
 
 def test_laplacian_single_vertex():
-    g = CombinatorialGraph(1, (), np.zeros(0))
+    g = MetricGraph(1, (), np.zeros(0))
     assert graph_laplacian(g).toarray() == np.zeros((1, 1))
 
 
 def test_laplacian_symmetry_and_row_sums():
     rng = np.random.default_rng(3)
     for _ in range(5):
-        g = random_metric_graph(rng).base
+        g = random_metric_graph(rng)
         lap = graph_laplacian(g).toarray()
         assert np.array_equal(lap, lap.T)
         assert np.abs(lap.sum(axis=1)).max() < 1e-12
@@ -65,22 +59,19 @@ def test_incidence_matches_laplacian_unit_weights():
 
 
 def test_make_star():
-    g = make_star(3, DIRICHLET)
+    g = make_star(3)
     assert g.n_vertices == 4
     assert g.n_edges == 3
     assert g.dirichlet_nodes == (1, 2, 3)
     assert g.kirchhoff_nodes == (0,)
     assert np.all(g.lengths == 1.0)
 
-    single = make_star(1, DIRICHLET)
+    single = make_star(1)
     assert single.n_edges == 1
     assert single.n_dirichlet == 1
 
     big = make_star(12)
     assert (big.n_vertices, big.n_edges) == (13, 12)
-
-    kirch = make_star(4, KIRCHHOFF)
-    assert kirch.n_dirichlet == 0
 
 
 def test_make_star_rejects_zero_leaves():
@@ -128,26 +119,23 @@ def test_fisher_yates_bounds():
 
 def test_graph_validation():
     with pytest.raises(ValueError, match="self-loop"):
-        CombinatorialGraph(2, ((0, 0),), np.ones(1))
-    with pytest.raises(ValueError, match="duplicate"):
-        CombinatorialGraph(2, ((0, 1), (1, 0)), np.ones(2))
+        MetricGraph(2, ((0, 0),), np.ones(1))
+    with pytest.raises(ValueError, match="duplicate edge"):
+        MetricGraph(2, ((0, 1), (1, 0)), np.ones(2))
     with pytest.raises(ValueError, match="vertex range"):
-        CombinatorialGraph(2, ((0, 5),), np.ones(1))
+        MetricGraph(2, ((0, 5),), np.ones(1))
+    with pytest.raises(ValueError, match="one value per edge"):
+        MetricGraph(2, ((0, 1),), np.ones(2))
     with pytest.raises(ValueError, match="positive"):
-        CombinatorialGraph(2, ((0, 1),), np.zeros(1))
-    with pytest.raises(ValueError, match="positive"):
-        MetricGraph(path2(), np.zeros(1))
-    with pytest.raises(ValueError):
-        MetricGraph(path2(), np.ones(1), (7,))
-
-
-def test_weight_lookup():
-    g = CombinatorialGraph(3, ((0, 1), (1, 2)), np.array([2.0, 3.0]))
-    w = weight_matrix(g)
-    assert w[0, 1] == 2.0
-    assert w[1, 0] == 2.0
-    assert w[0, 2] == 0.0
-    assert np.array_equal(np.asarray(w.sum(axis=1)).ravel(), [2.0, 5.0, 3.0])
+        MetricGraph(2, ((0, 1),), np.zeros(1))
+    with pytest.raises(ValueError, match="duplicate Dirichlet"):
+        MetricGraph(2, ((0, 1),), np.ones(1), (1, 1))
+    with pytest.raises(ValueError, match="outside vertex range"):
+        MetricGraph(2, ((0, 1),), np.ones(1), (7,))
+    g = MetricGraph(3, [(2.0, 1), (0, 1)], [2, 3], [2, 0])
+    assert g.edges == ((2, 1), (0, 1))
+    assert g.lengths.dtype == float
+    assert g.dirichlet_nodes == (0, 2) and g.kirchhoff_nodes == (1,)
 
 
 def _write(path, text):
@@ -160,10 +148,10 @@ def test_load_matrix_market_pattern_path(tmp_path):
         tmp_path / "g.mtx",
         "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n",
     )
-    g = load_matrix_market(f)
+    g = load_matrix_market(f, n_controls=1)
     assert g.n_vertices == 3
     assert g.edges == ((0, 1), (1, 2))
-    assert np.all(g.edge_weights == 1.0)
+    assert np.all(g.lengths == 1.0)
 
 
 def test_load_matrix_market_deduplicates(tmp_path):
@@ -171,9 +159,9 @@ def test_load_matrix_market_deduplicates(tmp_path):
         tmp_path / "g.mtx",
         "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 1.5\n1 2 1.5\n",
     )
-    g = load_matrix_market(f)
+    g = load_matrix_market(f, n_controls=1)
     assert g.edges == ((0, 1),)
-    assert g.edge_weights[0] == 1.5
+    assert g.lengths[0] == 1.0
 
 
 def test_load_matrix_market_errors(tmp_path):
@@ -196,32 +184,43 @@ def test_load_matrix_market_errors(tmp_path):
 def test_load_matrix_market_with_coordinates(tmp_path):
     _write(tmp_path / "g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n")
     _write(tmp_path / "g_coord.mtx", "%%MatrixMarket matrix array real general\n2 2\n0.0\n3.0\n0.0\n4.0\n")
-    g = load_matrix_market(tmp_path / "g.mtx")
-    assert g.coordinates is not None
-    assert np.array_equal(g.coordinates, [[0.0, 0.0], [3.0, 4.0]])
-    mg = metric_from_combinatorial(g, n_controls=1, seed=0)
-    assert mg.lengths[0] == 5.0
-    assert mg.n_dirichlet == 1
+    g = load_matrix_market(tmp_path / "g.mtx", n_controls=1, seed=0)
+    assert g.lengths[0] == 5.0
+    assert g.n_dirichlet == 1
+    # coincident vertices: a zero distance falls back to length 1
+    _write(tmp_path / "z.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n")
+    _write(tmp_path / "z_coord.mtx", "%%MatrixMarket matrix array real general\n3 2\n0\n0\n6\n0\n0\n8\n")
+    assert np.array_equal(load_matrix_market(tmp_path / "z.mtx", n_controls=1).lengths, [1.0, 10.0])
+    _write(tmp_path / "z_coord.mtx", "%%MatrixMarket matrix array real general\n2 2\n0\n0\n6\n0\n")
+    with pytest.raises(GraphFormatError, match="3x2"):
+        load_matrix_market(tmp_path / "z.mtx", n_controls=1)
 
 
-def test_metric_from_combinatorial_unit_fallback():
-    g = CombinatorialGraph(3, ((0, 1), (1, 2)), np.ones(2))
-    mg = metric_from_combinatorial(g, n_controls=2, seed=3)
-    assert np.all(mg.lengths == 1.0)
-    assert mg.n_dirichlet == 2
+def test_load_matrix_market_unit_lengths_without_coordinates(tmp_path):
+    f = _write(
+        tmp_path / "g.mtx",
+        "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n",
+    )
+    g = load_matrix_market(f, n_controls=2, seed=3)
+    assert np.all(g.lengths == 1.0)
+    assert g.n_dirichlet == 2
+    # the controls are the seeded Fisher-Yates draw
+    draw = fisher_yates_choice(np.random.default_rng(3), 3, 2)
+    assert g.dirichlet_nodes == tuple(draw.tolist())
+    with pytest.raises(ValueError, match="cannot draw"):
+        load_matrix_market(f)
 
 
 def test_graph_json_round_trip(tmp_path):
     g = make_fdm_L_graph(4, 3, seed=2)
     dset = set(g.dirichlet_nodes)
-    xy = g.base.coordinates
     payload = {
         "vertices": [
-            {"id": v, "type": DIRICHLET if v in dset else KIRCHHOFF, "x": xy[v, 0], "y": xy[v, 1]}
-            for v in range(g.n_vertices)
+            {"id": v, "type": DIRICHLET if v in dset else KIRCHHOFF}
+            for v in reversed(range(g.n_vertices))
         ],
         "edges": [
-            {"u": u, "v": v, "length": g.lengths[k], "weight": g.base.edge_weights[k]}
+            {"u": u, "v": v, "length": g.lengths[k]}
             for k, (u, v) in enumerate(g.edges)
         ],
     }
@@ -232,20 +231,18 @@ def test_graph_json_round_trip(tmp_path):
     assert back.edges == g.edges
     assert back.dirichlet_nodes == g.dirichlet_nodes
     assert np.array_equal(back.lengths, g.lengths)
-    assert np.array_equal(back.base.edge_weights, g.base.edge_weights)
-    assert np.array_equal(back.base.coordinates, xy)
 
 
 def test_graph_json_defaults_and_errors(tmp_path):
+    # keys other than id, type, u, v and length are not read
     payload = {
-        "vertices": [{"id": 0, "type": "dirichlet"}, {"id": 1}],
-        "edges": [{"u": 0, "v": 1}],
+        "vertices": [{"id": 0, "type": "dirichlet", "x": "left"}, {"id": 1}],
+        "edges": [{"u": 0, "v": 1, "weight": -1.0}],
     }
     path = tmp_path / "g.json"
     path.write_text(json.dumps(payload))
     g = load_graph_json(path)
     assert g.lengths[0] == 1.0
-    assert g.base.edge_weights[0] == 1.0
     assert g.dirichlet_nodes == (0,)
 
     path.write_text("{not json")
@@ -253,4 +250,31 @@ def test_graph_json_defaults_and_errors(tmp_path):
         load_graph_json(path)
     path.write_text(json.dumps({"vertices": [{"id": 0, "type": "weird"}], "edges": []}))
     with pytest.raises(GraphFormatError, match="type"):
+        load_graph_json(path)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"vertices": [{"id": 0}, {"type": "dirichlet"}], "edges": []}, "vertex entry 1 .* has no 'id'"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]}, "edge entry 0 .* has no 'v'"),
+        ({"vertices": [0, 1], "edges": []}, "vertex entry 0 .* is not an object"),
+        ({"vertices": [{"id": 0}], "edges": [[0, 1]]}, "edge entry 0 .* is not an object"),
+        ({"vertices": [{"id": "a"}], "edges": []}, "vertex entry 0 .* non-numeric 'id'"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": None, "v": 1}]}, "edge entry 0 .* non-numeric 'u'"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": [1]}]}, "edge entry 0 .* non-numeric 'v'"),
+        (
+            {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "length": "long"}]},
+            "edge entry 0 .* non-numeric 'length'",
+        ),
+        ({"vertices": 3, "edges": []}, "needs a list of 'vertices'"),
+        ({"vertices": []}, "needs a list of 'edges'"),
+    ],
+    ids=["no-id", "no-v", "int-vertices", "list-edge", "text-id", "null-u", "list-v", "text-length",
+         "int-vertex-list", "no-edges"],
+)
+def test_graph_json_malformed_entries(tmp_path, payload, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(GraphFormatError, match=message):
         load_graph_json(path)

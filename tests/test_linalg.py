@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mgopt.linalg import (
+    DENSE_CAP,
     NotPositiveDefiniteError,
     SingularMatrixError,
     dense_eigs,
@@ -67,7 +68,7 @@ def test_dense_eigs_known_spectra():
 
 def test_dense_eigs_cap():
     with pytest.raises(ValueError, match="capped"):
-        dense_eigs(np.eye(10), cap=5)
+        dense_eigs(sp.identity(DENSE_CAP + 1, format="csr"))
 
 
 def test_spd_solve_round_trip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgopt.assembly import assemble_mass, assemble_stiffness
-from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_path, make_star
+from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_path, make_star
 from mgopt.mesh import (
     ExtendedMesh,
     PiecewiseLinearFunction,
@@ -18,8 +18,7 @@ from helpers import edge_node_dofs, random_metric_graph
 
 
 def single_edge(length=1.0):
-    base = CombinatorialGraph(2, ((0, 1),), np.ones(1))
-    return MetricGraph(base, np.array([length]), (0, 1))
+    return MetricGraph(2, ((0, 1),), np.array([length]), (0, 1))
 
 
 def test_build_mesh_dof_counts():

@@ -18,7 +18,7 @@ from mgopt.assembly import (
     SingularOperatorError,
     build_operators,
 )
-from mgopt.graphs import CombinatorialGraph, MetricGraph, make_fdm_L_graph, make_path, make_star
+from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_path, make_star
 from mgopt.mesh import build_mesh, nodal_values
 from mgopt.optcontrol import (
     PRECONDITIONER_KINDS,
@@ -101,10 +101,11 @@ def test_kkt_dense_matches_hand_assembly():
 
 
 def test_kkt_dense_cap():
-    ops, data = tiny_star_ops()
+    # star:4 at ne 300: 2,398 unknowns, above linalg.DENSE_CAP
+    ops, data = tiny_star_ops(n_e=300, leaves=4)
     kkt = build_kkt(ops, data)
-    with pytest.raises(ValueError, match="capped"):
-        kkt.as_dense(cap=3)
+    with pytest.raises(ValueError, match="capped at 2000, got 2398"):
+        kkt.as_dense()
 
 
 def test_kkt_surface_read_by_the_benchmark():
@@ -130,7 +131,7 @@ def test_precon_kind_normalization():
 
 
 def test_preconditioner_requires_controls():
-    g = make_star(3, "kirchhoff")
+    g = MetricGraph(4, ((0, 1), (0, 2), (0, 3)), np.ones(3))  # a star with no Dirichlet node
     mesh = build_mesh(g, 2)
     data = ProblemData(beta=1.0, c0=1.0)
     ops = build_operators(mesh, data)
@@ -339,9 +340,9 @@ def test_floating_component_raises_singular_operator_for_every_precon():
 
 
 def test_ideal_preconditioner_size_cap():
-    ops, data = tiny_star_ops()
-    with pytest.raises(ValueError, match="capped"):
-        build_preconditioner("ideal", ops, data, dense_cap=3)
+    ops, data = tiny_star_ops(n_e=300, leaves=4)
+    with pytest.raises(ValueError, match="capped at 2000, got 2398"):
+        build_preconditioner("ideal", ops, data)
 
 
 def test_gmres_identity_one_iteration():
@@ -434,6 +435,21 @@ def test_krylov_rejects_a_negative_cap(solver):
     res = solver(lambda x: 2.0 * x, b, max_it=0)
     assert res.iterations == 0 and not res.converged
     assert np.array_equal(res.x, np.zeros(5))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("solver", [gmres, minres])
+def test_krylov_rejects_a_tolerance_never_met(solver, tol):
+    # such a run would only stop at its cap
+    calls = []
+
+    def apply_a(x):
+        calls.append(1)
+        return 2.0 * x
+
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        solver(apply_a, np.ones(5), tol=tol)
+    assert not calls
 
 
 @pytest.mark.parametrize("beta", [1e4, 1e-10])
@@ -885,8 +901,7 @@ def test_objective_integrates_per_edge_ybar_edgewise():
 
 
 def test_reduced_oracle_single_control_closed_form():
-    base = CombinatorialGraph(2, ((0, 1),), np.ones(1))
-    g = MetricGraph(base, np.ones(1), (1,))
+    g = MetricGraph(2, ((0, 1),), np.ones(1), (1,))
     data = ProblemData(beta=0.3, c0=1.0, f=1.0, ybar=2.0)
     n_e = 8
     u = reduced_oracle(g, n_e, data)
