@@ -8,6 +8,7 @@ coefficient in the interval weights yields the potential mass matrix.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -256,10 +257,11 @@ class GraphFactor:
 
     def solve(self, b) -> np.ndarray:
         n_k, n_i = self.k_vi.shape
+        mul = linalg.matvec if b.ndim == 1 else operator.matmul
         x_i0 = b[:n_i] if self.chain is None else lapack.dpttrs(*self.chain, b[:n_i])[0]
         y = np.zeros((self.lift.shape[1],) + b.shape[1:])  # zero on the Dirichlet columns
-        y[:n_k] = self.vertex_solve(b[n_i:] - self.k_vi @ x_i0)
-        x = self.lift @ y
+        y[:n_k] = self.vertex_solve(b[n_i:] - mul(self.k_vi, x_i0))
+        x = mul(self.lift, y)
         x[:n_i] += x_i0
         return x
 
@@ -317,22 +319,36 @@ class VertexCondensation:
     H s = Zf s + Wf S^{-1} R s.  H is only needed next to M_FF, so
     ``mass_lift`` keeps M_FF [Wf, Zf].  ``gram`` is H^T M_FF H =
     K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
+
+    The transposes are built once.  ``mass_lift.T`` is kept as a CSR copy
+    with sorted indices (about 3.6 MB at 147k DOFs): its rows sum in the
+    order of the CSC product, so ``h_t_mass`` is the same bit for bit, and
+    its kernel loops over the n_K + n_D rows instead of the n_f columns.
     """
 
     mass_lift: sp.csr_matrix
     r: sp.csc_matrix
     kff: GraphFactor
     gram: np.ndarray
+    _lift_t_mass: sp.csr_matrix = field(init=False, repr=False)
+    _r_t: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lift_t_mass = self.mass_lift.T.tocsr()
+        lift_t_mass.sort_indices()
+        object.__setattr__(self, "_lift_t_mass", lift_t_mass)
+        object.__setattr__(self, "_r_t", self.r.T)
 
     def mass_h(self, s) -> np.ndarray:
         """M_FF H s."""
-        return self.mass_lift @ np.concatenate([self.kff.vertex_solve(self.r @ s), s])
+        y = self.kff.vertex_solve(linalg.matvec(self.r, s))
+        return linalg.matvec(self.mass_lift, np.concatenate([y, s]))
 
     def h_t_mass(self, v) -> np.ndarray:
         """H^T M_FF v."""
-        t = self.mass_lift.T @ v
+        t = linalg.matvec(self._lift_t_mass, v)
         n_k = self.r.shape[0]
-        return t[n_k:] + self.r.T @ self.kff.vertex_solve(t[:n_k])
+        return t[n_k:] + linalg.matvec(self._r_t, self.kff.vertex_solve(t[:n_k]))
 
 
 def condense(ops: FeOperators) -> VertexCondensation:

@@ -75,8 +75,12 @@ class MetricGraph:
         lengths = np.atleast_1d(np.asarray(self.lengths, dtype=float))
         if lengths.shape != (len(edges),):
             raise ValueError("lengths must hold one value per edge")
-        if lengths.size and np.any(lengths <= 0):
-            raise ValueError("edge lengths must be positive")
+        bad = np.flatnonzero(~(np.isfinite(lengths) & (lengths > 0)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"edge {k} {edges[k]} has length {lengths[k]}: edge lengths must be positive and finite"
+            )
         object.__setattr__(self, "lengths", lengths)
         dn = tuple(sorted(int(v) for v in self.dirichlet_nodes))
         if len(set(dn)) != len(dn):

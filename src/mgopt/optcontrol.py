@@ -16,7 +16,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -52,12 +52,20 @@ def normalize_precon_kind(kind: str) -> str:
 class KktSystem:
     """Matrix-free application of the symmetric 3x3 saddle-point operator.
 
-    A view of the operators at one beta: the blocks and sizes are read from ``ops``.
+    A view of the operators at one beta: the blocks and sizes are read from
+    ``ops``.  The DF blocks, ``K_FD.T`` and ``M_FD.T``, are CSR views built
+    once here instead of on every apply.
     """
 
     ops: FeOperators
     beta: float
     rhs: np.ndarray
+    _m_df: sp.csr_matrix = field(init=False, repr=False)
+    _k_df: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._m_df = self.ops.M_FD.T
+        self._k_df = self.ops.K_FD.T
 
     @property
     def dim(self) -> int:
@@ -68,13 +76,19 @@ class KktSystem:
         return x[:nf], x[nf : nf + nd], x[nf + nd :]
 
     def apply(self, x) -> np.ndarray:
-        ops = self.ops
+        # each row adds its products left to right, the order the tests hold
+        # it to against the plain scipy expression, bit for bit
+        ops, mv = self.ops, linalg.matvec
         x1, x2, x3 = self.split(np.asarray(x, dtype=float))
         nf, nd = x1.size, x2.size
         out = np.empty(2 * nf + nd)
-        out[:nf] = ops.M_FF @ x1 + ops.M_FD @ x2 + ops.K_FF @ x3
-        out[nf : nf + nd] = ops.M_FD.T @ x1 + ops.M_DD @ x2 + self.beta * x2 + ops.K_FD.T @ x3
-        out[nf + nd :] = ops.K_FF @ x1 + ops.K_FD @ x2
+        top, mid, low = out[:nf], out[nf : nf + nd], out[nf + nd :]
+        np.add(mv(ops.M_FF, x1), mv(ops.M_FD, x2), out=top)
+        top += mv(ops.K_FF, x3)
+        np.add(mv(self._m_df, x1), mv(ops.M_DD, x2), out=mid)
+        mid += self.beta * x2
+        mid += mv(self._k_df, x3)
+        np.add(mv(ops.K_FF, x1), mv(ops.K_FD, x2), out=low)
         return out
 
     def as_dense(self) -> np.ndarray:
@@ -219,7 +233,7 @@ def build_preconditioner(
 
         def apply_sym(r):
             out = np.empty_like(r)
-            out[:n_f] = r[:n_f] / d_m
+            np.divide(r[:n_f], d_m, out=out[:n_f])
             out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
             out[n_f + n_d :] = g_fact.solve(d_m * g_fact.solve(r[n_f + n_d :]))
             return out
@@ -242,11 +256,13 @@ def build_preconditioner(
 
     def apply_nonsym(r):
         out = np.empty_like(r)
-        out[:n_f] = r[:n_f] / d_m
+        np.divide(r[:n_f], d_m, out=out[:n_f])
         out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
         y = kff.solve(r[n_f + n_d :])
-        s = scipy.linalg.lu_solve(cap_fact, cond.h_t_mass(y))
-        out[n_f + n_d :] = kff.solve(ops.M_FF @ y - cond.mass_h(s))
+        s = scipy.linalg.lu_solve(cap_fact, cond.h_t_mass(y), check_finite=False)
+        t = linalg.matvec(ops.M_FF, y)
+        t -= cond.mass_h(s)
+        out[n_f + n_d :] = kff.solve(t)
         return out
 
     return Preconditioner("matched_nonsymmetric", n_f, n_d, apply_nonsym, symmetric_definite=False)
@@ -436,7 +452,7 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     # of the resident set; np.zeros clears all of them when the allocator
     # recycles heap memory.
     v = np.empty((n, k_max + 1), order="F")
-    v[:, 0] = b / b_norm
+    np.divide(b, b_norm, out=v[:, 0])
     # R, the Givens-rotated Hessenberg matrix, one array per column.  numpy
     # advises huge pages for arrays of 4 MB and more, so short columns written
     # into one (k_max+1) x k_max array would fault in whole 2 MB pages.
@@ -465,13 +481,15 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     for k in range(k_max):
         zk = np.asarray(apply_p_inv(v[:, k]), dtype=float)
         w = np.asarray(apply_a(zk), dtype=float)
+        if np.may_share_memory(w, v) or np.may_share_memory(w, b):
+            w = w.copy()  # updated in place below; an identity returns its input
         # Classical Gram-Schmidt with one reorthogonalization pass.
         basis = v[:, : k + 1]
         coeffs = _basis_t_dot(basis, w)
-        w = w - _basis_dot(basis, coeffs)
+        w -= _basis_dot(basis, coeffs)
         corr = _basis_t_dot(basis, w)
-        w = w - _basis_dot(basis, corr)
-        coeffs = coeffs + corr
+        w -= _basis_dot(basis, corr)
+        coeffs += corr
         h_next = float(np.linalg.norm(w))
         # the stored rotations, on Python floats: numpy scalar arithmetic
         # rounds the same but costs about a microsecond per operation.  The
@@ -509,7 +527,7 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
             target = min(target, rel) / 4.0
         if breakdown:
             break
-        v[:, k + 1] = w / h_next
+        np.divide(w, h_next, out=v[:, k + 1])
 
     if not converged:
         final = form_solution()
@@ -539,7 +557,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
     rng = np.random.default_rng(12345)
     vp = rng.standard_normal(n)
     wp = rng.standard_normal(n)
-    av = np.asarray(apply_a(vp))
+    av = np.array(apply_a(vp), dtype=float)  # a copy: the operator may reuse one buffer
     aw = np.asarray(apply_a(wp))
     scale = np.linalg.norm(av) * np.linalg.norm(wp) + np.linalg.norm(vp) * np.linalg.norm(aw)
     if abs(av @ wp - vp @ aw) > 1e-10 * max(scale, 1.0):
@@ -550,9 +568,9 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
         return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
 
     x = np.zeros(n)
-    r1 = b.copy()
-    y = np.asarray(apply_p_inv(r1), dtype=float)
-    beta1_sq = float(r1 @ y)
+    r2 = b.copy()
+    y = np.asarray(apply_p_inv(r2), dtype=float)
+    beta1_sq = float(r2 @ y)
     if beta1_sq < 0.0:
         raise ValueError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1_sq)
@@ -566,22 +584,29 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
     phibar = beta1
     cs = -1.0
     sn = 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1
+    # Every vector is updated in place, in the order of the expanded
+    # formulas.  The residuals r1, r2 and the next one rotate through three
+    # buffers (r1 is first read in step 2), and w takes the buffer of the w1
+    # it replaces.  The operator's result is only read, so it may be its
+    # input or one buffer reused on every call.
+    v = np.empty(n)
+    r1, r_next = np.empty(n), np.empty(n)
+    w, w1, w2 = np.zeros(n), np.empty(n), np.zeros(n)
+    scratch = np.empty(n)
     residuals = [1.0]
     converged = False
     iterations = 0
     for itn in range(1, max_it + 1):
         s = 1.0 / beta
-        v = s * y
-        y = np.asarray(apply_a(v), dtype=float)
+        np.multiply(s, y, out=v)
+        q = np.asarray(apply_a(v), dtype=float)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
+            np.subtract(q, np.multiply(beta / oldb, r1, out=scratch), out=r_next)
+        else:
+            r_next[:] = q
+        alfa = float(v @ r_next)
+        r_next -= np.multiply(alfa / beta, r2, out=scratch)
+        r1, r2, r_next = r2, r_next, r1
         y = np.asarray(apply_p_inv(r2), dtype=float)
         oldb = beta
         beta_sq = float(r2 @ y)
@@ -600,10 +625,11 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
         phi = cs * phibar
         phibar = sn * phibar
 
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(oldeps, w1, out=scratch), out=w)
+        w -= np.multiply(delta, w2, out=scratch)
+        w /= gamma
+        x += np.multiply(phi, w, out=scratch)
 
         iterations = itn
         rel = phibar / beta1

@@ -82,6 +82,15 @@ def test_graph_info_malformed_json_is_reported(tmp_path, capsys):
         assert err.startswith("error: ") and where in err
 
 
+def test_graph_info_non_finite_length_is_reported(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    edges = [{"u": 0, "v": 1, "length": float("nan")}]
+    path.write_text(json.dumps({"vertices": [{"id": 0, "type": "dirichlet"}, {"id": 1}], "edges": edges}))
+    assert cli_main(["graph-info", "--graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edge 0 (0, 1) has length nan" in err
+
+
 def test_solve_dump_matrices(tmp_path, capsys, monkeypatch):
     # the solve and the dump share one assembly
     calls = []

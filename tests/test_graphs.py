@@ -128,6 +128,10 @@ def test_graph_validation():
         MetricGraph(2, ((0, 1),), np.ones(2))
     with pytest.raises(ValueError, match="positive"):
         MetricGraph(2, ((0, 1),), np.zeros(1))
+    # NaN compares false with 0, so a plain sign check would let it through
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"edge 1 \(1, 2\) has length .*finite"):
+            MetricGraph(3, ((0, 1), (1, 2)), [1.0, bad])
     with pytest.raises(ValueError, match="duplicate Dirichlet"):
         MetricGraph(2, ((0, 1),), np.ones(1), (1, 1))
     with pytest.raises(ValueError, match="outside vertex range"):
@@ -194,6 +198,23 @@ def test_load_matrix_market_with_coordinates(tmp_path):
     _write(tmp_path / "z_coord.mtx", "%%MatrixMarket matrix array real general\n2 2\n0\n0\n6\n0\n")
     with pytest.raises(GraphFormatError, match="3x2"):
         load_matrix_market(tmp_path / "z.mtx", n_controls=1)
+
+
+def test_non_finite_lengths_are_rejected_on_load(tmp_path):
+    # json reads the NaN literal; a NaN length used to fail only at the
+    # factorization, as "Factor is exactly singular"
+    payload = {
+        "vertices": [{"id": 0, "type": "dirichlet"}, {"id": 1}, {"id": 2}],
+        "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2, "length": float("nan")}],
+    }
+    f = _write(tmp_path / "g.json", json.dumps(payload))
+    assert "NaN" in f.read_text()
+    with pytest.raises(ValueError, match=r"edge 1 \(1, 2\) has length nan"):
+        load_graph_json(f)
+    _write(tmp_path / "g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n")
+    _write(tmp_path / "g_coord.mtx", "%%MatrixMarket matrix array real general\n3 2\n0\n1\nnan\n0\n0\n0\n")
+    with pytest.raises(ValueError, match=r"edge 1 \(1, 2\) has length nan"):
+        load_matrix_market(tmp_path / "g.mtx", n_controls=1)
 
 
 def test_load_matrix_market_unit_lengths_without_coordinates(tmp_path):

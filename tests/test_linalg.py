@@ -8,6 +8,7 @@ from mgopt.linalg import (
     SingularMatrixError,
     dense_eigs,
     factor,
+    matvec,
 )
 
 from helpers import thomas_solve
@@ -78,3 +79,32 @@ def test_spd_solve_round_trip():
     f = factor(a, "cholesky")
     x = rng.standard_normal(20)
     assert np.linalg.norm(f.solve(a @ x) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_matvec_equals_scipy_product_bit_for_bit(fmt, index_dtype):
+    # rows 3 and 7 and column 5 are empty; the kernel must leave zeros there
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((11, 9)) * (rng.random((11, 9)) < 0.4)
+    dense[[3, 7]] = 0.0
+    dense[:, 5] = 0.0
+    a = sp.csr_matrix(dense).asformat(fmt)
+    a.indptr = a.indptr.astype(index_dtype)
+    a.indices = a.indices.astype(index_dtype)
+    x = rng.standard_normal(9)
+    out = matvec(a, x)
+    assert out.dtype == np.float64 and out.shape == (11,)
+    assert np.array_equal(out, a @ x)
+    assert not np.any(out[[3, 7]])
+    # a strided view of a vector, as a column of a C-ordered block
+    block = rng.standard_normal((9, 3))
+    assert np.array_equal(matvec(a, block[:, 1]), a @ block[:, 1])
+    assert np.array_equal(matvec(a.T, out), a.T @ out)
+
+
+def test_matvec_rejects_a_vector_of_the_wrong_size():
+    a = sp.random(4, 6, density=0.5, format="csr", random_state=0)
+    for x in (np.ones(5), np.ones(7), np.ones((6, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matvec(a, x)

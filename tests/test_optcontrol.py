@@ -212,6 +212,73 @@ def test_matched_symmetric_apply_matches_rebuilt_blocks():
     assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def _applies_as_scipy_expressions(ops, beta):
+    """The KKT and matched preconditioner applies written with scipy's ``@``
+    and fresh arrays, in the association order of the solver's code."""
+    n_f, n_d = ops.n_free, ops.n_dirichlet
+    d_m, d_sm = optcontrol._mass_diag_schur(ops, beta)
+    dsm = linalg.factor(d_sm.tocsc(), "cholesky")
+    d_kdk = np.maximum(ops.K_FD @ dsm.solve(np.asarray(ops.K_FD.sum(axis=0)).ravel()), 0.0)
+    g = linalg.factor((ops.K_FF + sp.diags(np.sqrt(d_kdk * d_m))).tocsc(), "cholesky")
+    cond = ops.condensation()
+    gf = cond.kff
+    cap = scipy.linalg.lu_factor(d_sm.toarray() + cond.gram)
+
+    def kkt(x):
+        x1, x2, x3 = x[:n_f], x[n_f : n_f + n_d], x[n_f + n_d :]
+        return np.concatenate([
+            ops.M_FF @ x1 + ops.M_FD @ x2 + ops.K_FF @ x3,
+            ops.M_FD.T @ x1 + ops.M_DD @ x2 + beta * x2 + ops.K_FD.T @ x3,
+            ops.K_FF @ x1 + ops.K_FD @ x2,
+        ])
+
+    def kff_solve(b):
+        n_k, n_i = gf.k_vi.shape
+        x_i0 = scipy.linalg.lapack.dpttrs(*gf.chain, b[:n_i])[0]
+        y = np.zeros(gf.lift.shape[1])
+        y[:n_k] = gf.vertex_solve(b[n_i:] - gf.k_vi @ x_i0)
+        x = gf.lift @ y
+        x[:n_i] += x_i0
+        return x
+
+    def h_t_mass(v):
+        t = cond.mass_lift.T @ v
+        n_k = cond.r.shape[0]
+        return t[n_k:] + cond.r.T @ gf.vertex_solve(t[:n_k])
+
+    def mass_h(s):
+        return cond.mass_lift @ np.concatenate([gf.vertex_solve(cond.r @ s), s])
+
+    def head(r):
+        return [r[:n_f] / d_m, dsm.solve(r[n_f : n_f + n_d])]
+
+    def sym(r):
+        return np.concatenate(head(r) + [g.solve(d_m * g.solve(r[n_f + n_d :]))])
+
+    def nonsym(r):
+        y = kff_solve(r[n_f + n_d :])
+        s = scipy.linalg.lu_solve(cap, h_t_mass(y))
+        return np.concatenate(head(r) + [kff_solve(ops.M_FF @ y - mass_h(s))])
+
+    return kkt, sym, nonsym
+
+
+def test_applies_match_scipy_expressions_bit_for_bit():
+    # the Krylov loops' applies run scipy's matvec kernels directly, on
+    # transposes built once, and update in place; every product and sum
+    # keeps its order, so the results are the same to the last bit
+    data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(make_fdm_L_graph(10, n_controls=12, seed=3), 8), data)
+    kkt = build_kkt(ops, data)
+    ref_kkt, ref_sym, ref_nonsym = _applies_as_scipy_expressions(ops, data.beta)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        x = rng.standard_normal(kkt.dim)
+        assert np.array_equal(kkt.apply(x), ref_kkt(x))
+        for kind, ref in (("sym", ref_sym), ("nonsym", ref_nonsym)):
+            assert np.array_equal(build_preconditioner(kind, ops, data).apply(x), ref(x))
+
+
 def test_nonsym_schur_block_matches_dense_inverse():
     # the third block applies S^{-1} for S = K_FF M_FF^{-1} K_FF + K_FD D_SM^{-1} K_FD^T,
     # on a lattice with many Kirchhoff vertices
@@ -351,6 +418,34 @@ def test_gmres_identity_one_iteration():
     assert res.iterations == 1
     assert res.converged
     assert np.allclose(res.x, b)
+
+
+def test_krylov_results_that_alias_the_work_vectors():
+    # the solvers update the operator's result in place; an operator that
+    # returns its input, or one buffer on every call, must not change a
+    # solution, and the right-hand side stays as given
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((12, 12))
+    a = m @ m.T + 12 * np.eye(12)
+    b = rng.standard_normal(12)
+    b_given = b.copy()
+    buf = np.empty(12)
+
+    def into_buffer(x):
+        np.matmul(a, x, out=buf)
+        return buf
+
+    for solve in (gmres, minres):
+        fresh = solve(lambda x: a @ x, b, None, tol=1e-12)
+        for apply_a, apply_p_inv in ((into_buffer, None), (lambda x: a @ x, lambda r: r)):
+            res = solve(apply_a, b, apply_p_inv, tol=1e-12)
+            assert res.iterations == fresh.iterations
+            assert np.array_equal(res.x, fresh.x)
+            assert np.array_equal(res.residuals, fresh.residuals)
+        res = solve(lambda x: x, b, lambda r: r, tol=1e-12)
+        assert res.converged and res.iterations == 1
+        assert np.allclose(res.x, b, rtol=1e-14)
+        assert np.array_equal(b, b_given)
 
 
 def test_gmres_zero_rhs():
