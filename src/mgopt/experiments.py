@@ -88,8 +88,12 @@ class StudyConfig:
         self.ne_values = tuple(int(k) for k in self.ne_values)
         if not self.betas or not self.ne_values:
             raise ValueError("parameter sweeps must be nonempty")
+        if min(self.ne_values) < 1:
+            raise ValueError(f"intervals per edge must be at least 1, got {min(self.ne_values)}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
     def problem_data(self, beta: float) -> ProblemData:
         return ProblemData(beta=beta, c0=self.c0, f=self.f, ybar=self.ybar)
@@ -231,6 +235,9 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     stiffness matrices.
     """
     levels = sorted(cfg.ne_values)
+    repeated = sorted({k for k in levels if levels.count(k) > 1})
+    if repeated:
+        raise ValueError(f"repeated levels in the sweep: {', '.join(map(str, repeated))}")
     ref_ne = cfg.ref_ne if cfg.ref_ne is not None else 4 * levels[-1]
     for k_prev, k in zip(levels, levels[1:]):
         if k % k_prev != 0:

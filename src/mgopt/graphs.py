@@ -217,7 +217,8 @@ def _json_entries(path: Path, payload, key: str) -> list:
 def _json_field(path: Path, what: str, index: int, entry, key: str, convert, default=None):
     """``convert(entry[key])`` for the index-th vertex or edge of a JSON graph,
     or ``default`` when the key is absent and a default is given; any other
-    fault raises GraphFormatError naming the entry."""
+    fault raises GraphFormatError naming the entry.  With ``convert=int`` a
+    boolean or a number with a fractional part is such a fault, not truncated."""
     def fault(text):
         return GraphFormatError(f"{path}: {what} entry {index} ({json.dumps(entry)}) {text}")
 
@@ -227,8 +228,11 @@ def _json_field(path: Path, what: str, index: int, entry, key: str, convert, def
         if default is None:
             raise fault(f"has no {key!r}")
         return default
+    value = entry[key]
+    if convert is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise fault(f"has a non-integer {key!r}")
     try:
-        return convert(entry[key])
+        return convert(value)
     except (TypeError, ValueError) as exc:
         raise fault(f"has a non-numeric {key!r}") from exc
 

@@ -12,10 +12,7 @@ flip it back on output so that b*u equals the variational vertex flux of p.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -280,129 +277,6 @@ class KrylovResult:
     stop_residual: float
 
 
-# Products with a Krylov basis of at least this many entries run in two
-# halves, one on the calling thread and one on the module's helper thread.
-# Below about 1M entries the handoff (some 30 us) costs more than the
-# second core saves.
-_SPLIT_MIN_ENTRIES = 1 << 21
-_helper: ThreadPoolExecutor | None = None
-# held while one product uses the helper; a product that finds it held runs
-# in one call rather than queue behind another solve's half
-_helper_free = threading.Lock()
-# GMRES solves running in this process: while another one runs, its thread
-# keeps the second core busy, and a split would only crowd it
-_solves = 0
-_solves_lock = threading.Lock()
-
-
-def _blas_one_thread() -> bool:
-    """Whether the environment pins BLAS to one thread.
-
-    OpenBLAS takes its thread count from the first of these variables that
-    holds a positive number, and otherwise runs one thread per core.  Only
-    under one BLAS thread is a split product the same bit for bit as one
-    call; with more, OpenBLAS divides a product by its own thread count.
-    """
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
-# read once: OpenBLAS read them when numpy, imported above, loaded it
-_BLAS_ONE_THREAD = _blas_one_thread()
-
-
-def _forget_threads() -> None:
-    global _helper, _helper_free, _solves, _solves_lock
-    _helper = None
-    _helper_free = threading.Lock()
-    _solves = 0
-    _solves_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the executor, the locks and the count, but
-    # none of the other threads
-    os.register_at_fork(after_in_child=_forget_threads)
-
-
-def _two_cpus() -> bool:
-    """Whether this process may run on at least two CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
-def _split_pays(entries: int) -> bool:
-    """Whether a product with a basis of ``entries`` entries should split."""
-    return entries >= _SPLIT_MIN_ENTRIES and _BLAS_ONE_THREAD and _solves <= 1 and _two_cpus()
-
-
-def _in_halves(first, second) -> bool:
-    """Run ``first`` on the helper thread (started on first use) and ``second`` here.
-
-    Returns False, having run neither, while another thread uses the helper.
-    """
-    global _helper
-    if not _helper_free.acquire(blocking=False):
-        return False
-    try:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mgopt-gmres")
-        first_done = _helper.submit(first)
-        try:
-            second()
-        finally:
-            first_done.result()
-    finally:
-        _helper_free.release()
-    return True
-
-
-def _basis_t_dot(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``basis.T @ w``, for a large basis in two column halves.
-
-    The boundary is a multiple of 8 columns, so each column's dot product
-    keeps the BLAS kernel grouping of one call: under one BLAS thread the
-    result is the same bit for bit.  numpy's BLAS calls release the GIL.
-    """
-    n, k = basis.shape
-    mid = k // 16 * 8
-    if mid == 0 or not _split_pays(n * k):
-        return basis.T @ w
-    out = np.empty(k)
-    if _in_halves(
-        lambda: np.matmul(basis[:, :mid].T, w, out=out[:mid]),
-        lambda: np.matmul(basis[:, mid:].T, w, out=out[mid:]),
-    ):
-        return out
-    return basis.T @ w
-
-
-def _basis_dot(basis: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``basis @ c``, for a large basis in two row halves.
-
-    The boundary is a multiple of 64 rows, which keeps every row's sum as
-    in one BLAS call (see ``_basis_t_dot``).
-    """
-    n, k = basis.shape
-    mid = n // 128 * 64
-    if mid == 0 or not _split_pays(n * k):
-        return basis @ c
-    out = np.empty(n)
-    if _in_halves(
-        lambda: np.matmul(basis[:mid], c, out=out[:mid]),
-        lambda: np.matmul(basis[mid:], c, out=out[mid:]),
-    ):
-        return out
-    return basis @ c
-
-
 def _require_stop(tol: float, max_it: int) -> None:
     # a tolerance of 0, below 0 or NaN is never met: the run would go to the cap
     if not tol > 0:
@@ -422,17 +296,6 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
     the number of Arnoldi steps; the residual history holds the relative
     residual after each step.
     """
-    global _solves
-    with _solves_lock:
-        _solves += 1
-    try:
-        return _gmres(apply_a, b, apply_p_inv, tol, max_it)
-    finally:
-        with _solves_lock:
-            _solves -= 1
-
-
-def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
     b = np.asarray(b, dtype=float)
     n = b.size
     if apply_p_inv is None:
@@ -470,7 +333,7 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
         for j, col in enumerate(r_cols):
             r[: j + 1, j] = col
         y = scipy.linalg.solve_triangular(r, g[:k], check_finite=False)
-        return np.asarray(apply_p_inv(_basis_dot(v[:, :k], y)), dtype=float)
+        return np.asarray(apply_p_inv(v[:, :k] @ y), dtype=float)
 
     converged = False
     x = None
@@ -485,10 +348,10 @@ def _gmres(apply_a, b, apply_p_inv, tol, max_it) -> KrylovResult:
             w = w.copy()  # updated in place below; an identity returns its input
         # Classical Gram-Schmidt with one reorthogonalization pass.
         basis = v[:, : k + 1]
-        coeffs = _basis_t_dot(basis, w)
-        w -= _basis_dot(basis, coeffs)
-        corr = _basis_t_dot(basis, w)
-        w -= _basis_dot(basis, corr)
+        coeffs = basis.T @ w
+        w -= basis @ coeffs
+        corr = basis.T @ w
+        w -= basis @ corr
         coeffs += corr
         h_next = float(np.linalg.norm(w))
         # the stored rotations, on Python floats: numpy scalar arithmetic

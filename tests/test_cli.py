@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mgopt import cli, optcontrol
 from mgopt.cli import cli_main
@@ -138,6 +139,23 @@ def test_convergence_study_cli(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("n_e,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--ne", "4,4"], "repeated levels in the sweep: 4"),
+    (["--ne", "0,4"], "intervals per edge must be at least 1, got 0"),
+    (["--ne", "4,8", "--jobs", "0"], "jobs must be at least 1, got 0"),
+])
+def test_convergence_study_bad_sweep_is_reported(capsys, args, message):
+    code = cli_main(["convergence-study", "--graph", "star:3", *args])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_iteration_study_bad_jobs_are_reported(capsys):
+    code = cli_main(["iteration-study", "--graph", "star:3", "--ne", "4", "--jobs", "-2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: jobs must be at least 1, got -2\n"
 
 
 def test_eig_probe_cli(tmp_path, capsys, monkeypatch):

@@ -89,6 +89,12 @@ def test_study_config_validation():
         StudyConfig(graph=g, ne_values=())
     with pytest.raises(ValueError, match="positive"):
         StudyConfig(graph=g, tol=0.0)
+    for ne_values in ((0, 4), (4, -2)):
+        with pytest.raises(ValueError, match="intervals per edge must be at least 1"):
+            StudyConfig(graph=g, ne_values=ne_values)
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            StudyConfig(graph=g, jobs=jobs)
 
 
 def test_iteration_study_shape_and_csv(tmp_path):
@@ -135,20 +141,10 @@ def test_iteration_study_marks_nonconverged():
     assert cell.iterations is None and cell.unprecond_iterations is None
 
 
-def test_iteration_study_parallel_matches_serial(tmp_path):
-    base = dict(graph=make_star(4), betas=(1e-2, 1e-3), ne_values=(2, 4),
-                include_unpreconditioned=False)
-    serial = iteration_study(StudyConfig(**base, jobs=1))
-    parallel = iteration_study(StudyConfig(**base, jobs=3))
-    assert [c.iterations for c in serial.cells] == [c.iterations for c in parallel.cells]
-
-
-def test_iteration_study_parallel_split_basis_matches_serial():
-    # with the split threshold at 0 and meshes solved on three threads, a
-    # solve that runs alone splits its products and one that runs next to
-    # another does not: every Krylov solve, preconditioned and not, gives
-    # the x and residuals of the serial study without the split, bit for bit
-    # (thread switches every 10 us, to interleave the solves finely)
+def test_iteration_study_parallel_matches_serial():
+    # meshes solved on three threads give the counts of the serial study, and
+    # every Krylov solve, preconditioned and not, its x and residuals bit for
+    # bit (thread switches every 10 us, to interleave the solves finely)
     run_one_blas_thread("""
         import sys
         from dataclasses import replace
@@ -158,7 +154,6 @@ def test_iteration_study_parallel_split_basis_matches_serial():
         from mgopt.experiments import StudyConfig, iteration_study
         from mgopt.graphs import make_star
 
-        solves = {}
         gmres = optcontrol.gmres
 
         def keeping(apply_a, b, apply_p_inv=None, **kw):
@@ -167,25 +162,23 @@ def test_iteration_study_parallel_split_basis_matches_serial():
             return res
 
         optcontrol.gmres = experiments.gmres = keeping
-        optcontrol._two_cpus = lambda: True
         sys.setswitchinterval(1e-5)
         cfg = StudyConfig(graph=make_star(4), betas=(1e-2, 1e-3), ne_values=(8, 16, 32),
                           include_unpreconditioned=True)
         runs = []
-        for minimum, jobs in ((2**62, 1), (0, 1), (0, 3)):
-            optcontrol._SPLIT_MIN_ENTRIES = minimum
+        for jobs in (1, 3):
             solves = {}
             cells = iteration_study(replace(cfg, jobs=jobs)).cells
             runs.append(([(c.beta, c.n_e, c.iterations, c.unprecond_iterations) for c in cells],
                          solves))
-        (cells, serial), *others = runs
+        (cells, serial), (parallel_cells, parallel) = runs
+        assert all(c[2] is not None and c[3] is not None for c in cells)
         assert len(serial) == 12 and max(r.iterations for r in serial.values()) > 16
-        for other_cells, other in others:
-            assert other_cells == cells
-            assert other.keys() == serial.keys()
-            for key, res in serial.items():
-                assert np.array_equal(other[key].x, res.x), key
-                assert np.array_equal(other[key].residuals, res.residuals), key
+        assert parallel_cells == cells
+        assert parallel.keys() == serial.keys()
+        for key, res in serial.items():
+            assert np.array_equal(parallel[key].x, res.x), key
+            assert np.array_equal(parallel[key].residuals, res.residuals), key
     """)
 
 
@@ -304,6 +297,14 @@ def test_convergence_study_rejects_non_nested():
     cfg = StudyConfig(graph=make_star(3), betas=(0.1,), ne_values=(4, 8), ref_ne=20)
     with pytest.raises(ValueError, match="non-nested"):
         convergence_study(cfg)
+
+
+def test_convergence_study_rejects_repeated_levels():
+    # a repeated level would divide the error ratio by log(1)
+    for ne_values, repeated in (((4, 4), "4"), ((8, 4, 8, 16, 4), "4, 8")):
+        cfg = StudyConfig(graph=make_star(3), betas=(0.1,), ne_values=ne_values)
+        with pytest.raises(ValueError, match=f"repeated levels in the sweep: {repeated}$"):
+            convergence_study(cfg)
 
 
 def test_eig_probe_spectra(tmp_path):

@@ -290,9 +290,19 @@ def test_graph_json_defaults_and_errors(tmp_path):
         ),
         ({"vertices": 3, "edges": []}, "needs a list of 'vertices'"),
         ({"vertices": []}, "needs a list of 'edges'"),
+        # ids are not truncated: 1.7 and 1.9 are not vertex 1
+        ({"vertices": [{"id": 0}, {"id": 1.7}, {"id": 2}], "edges": []}, "vertex entry 1 .* non-integer 'id'"),
+        (
+            {"vertices": [{"id": 0}, {"id": 1}, {"id": 2}], "edges": [{"u": 0, "v": 1.9}]},
+            "edge entry 0 .* non-integer 'v'",
+        ),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": -0.5, "v": 1}]}, "edge entry 0 .* non-integer 'u'"),
+        ({"vertices": [{"id": False}, {"id": True}], "edges": []}, "vertex entry 0 .* non-integer 'id'"),
+        ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": True}]}, "edge entry 0 .* non-integer 'v'"),
     ],
     ids=["no-id", "no-v", "int-vertices", "list-edge", "text-id", "null-u", "list-v", "text-length",
-         "int-vertex-list", "no-edges"],
+         "int-vertex-list", "no-edges", "fractional-id", "fractional-v", "fractional-u", "bool-id",
+         "bool-v"],
 )
 def test_graph_json_malformed_entries(tmp_path, payload, message):
     path = tmp_path / "g.json"

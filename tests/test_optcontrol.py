@@ -1,7 +1,4 @@
-import os
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,7 +39,6 @@ from helpers import (
     element_stiffness,
     graph_with_floating_triangle,
     random_metric_graph,
-    run_one_blas_thread,
 )
 
 
@@ -557,197 +553,6 @@ def test_gmres_extreme_beta_true_residual(beta, precon):
     assert res.converged
     rhs = kkt.rhs
     assert np.linalg.norm(rhs - kkt.as_dense() @ res.x) <= 1e-8 * np.linalg.norm(rhs)
-
-
-def test_basis_products_split_bit_for_bit():
-    # the halves of a split product equal one BLAS call in every bit: n odd
-    # and even and around multiples of 64, k around multiples of 8, bases
-    # that are leading columns of a wider Fortran-ordered array as in GMRES,
-    # and blocks just above the split threshold
-    run_one_blas_thread("""
-        import numpy as np
-        from mgopt import optcontrol
-
-        optcontrol._two_cpus = lambda: True
-        halves = []
-        in_halves = optcontrol._in_halves
-        optcontrol._in_halves = lambda a, b: halves.append(1) or in_halves(a, b)
-        rng = np.random.default_rng(0)
-        ks = (16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65, 100, 128, 129)
-        shapes = [(n, k) for n in (128, 129, 191, 192, 193, 1000, 1001, 6133, 6134)
-                  for k in ks]
-        minimum = optcontrol._SPLIT_MIN_ENTRIES
-        shapes += [(6134, minimum // 6134 + 1), (minimum // 16 + 1, 16), (minimum // 33 + 63, 33)]
-        for n, k in shapes:
-            optcontrol._SPLIT_MIN_ENTRIES = 0 if n * k < minimum else minimum
-            basis = np.asfortranarray(rng.standard_normal((n, k + 3)))[:, :k]
-            w, c = rng.standard_normal(n), rng.standard_normal(k)
-            before = len(halves)
-            assert np.array_equal(optcontrol._basis_t_dot(basis, w), basis.T @ w), (n, k)
-            assert np.array_equal(optcontrol._basis_dot(basis, c), basis @ c), (n, k)
-            assert len(halves) == before + 2, (n, k)
-    """)
-
-
-def test_basis_split_follows_cpu_affinity(monkeypatch):
-    # above the threshold, with BLAS pinned to one thread, the products split
-    # when this process may run on two CPUs (under `taskset -c 0` it may
-    # not), and never on one
-    monkeypatch.setattr(optcontrol, "_BLAS_ONE_THREAD", True)
-    rng = np.random.default_rng(1)
-    basis = np.asfortranarray(rng.standard_normal((optcontrol._SPLIT_MIN_ENTRIES // 32 + 64, 32)))
-    w, c = rng.standard_normal(basis.shape[0]), rng.standard_normal(32)
-    halves = []
-    in_halves = optcontrol._in_halves
-    monkeypatch.setattr(optcontrol, "_in_halves", lambda a, b: halves.append(1) or in_halves(a, b))
-    optcontrol._basis_t_dot(basis, w)
-    optcontrol._basis_dot(basis, c)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert len(halves) == (2 if cpus >= 2 else 0)
-
-    halves.clear()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert np.array_equal(optcontrol._basis_t_dot(basis, w), basis.T @ w)
-    assert np.array_equal(optcontrol._basis_dot(basis, c), basis @ c)
-    assert halves == []
-
-
-def test_basis_split_needs_one_blas_thread(monkeypatch):
-    # with BLAS on more threads than one, a split product is summed in
-    # another order than one call, so the products never split
-    monkeypatch.setattr(optcontrol, "_BLAS_ONE_THREAD", False)
-    monkeypatch.setattr(optcontrol, "_SPLIT_MIN_ENTRIES", 0)
-    monkeypatch.setattr(optcontrol, "_two_cpus", lambda: True)
-    halves = []
-    monkeypatch.setattr(optcontrol, "_in_halves", lambda a, b: halves.append(1))
-    basis = np.asfortranarray(np.random.default_rng(3).standard_normal((256, 32)))
-    assert np.array_equal(optcontrol._basis_t_dot(basis, np.ones(256)), basis.T @ np.ones(256))
-    assert np.array_equal(optcontrol._basis_dot(basis, np.ones(32)), basis @ np.ones(32))
-    assert halves == []
-
-
-@pytest.mark.parametrize("env, one", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, False),
-])
-def test_blas_one_thread_follows_openblas_variables(monkeypatch, env, one):
-    # OpenBLAS takes the first of these that holds a positive number
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert optcontrol._blas_one_thread() is one
-
-
-def test_basis_split_only_while_one_solve_runs(monkeypatch):
-    # GMRES counts the solves running in the process; while another one
-    # runs, its thread has the second core and the products run in one call
-    monkeypatch.setattr(optcontrol, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(optcontrol, "_SPLIT_MIN_ENTRIES", 0)
-    monkeypatch.setattr(optcontrol, "_two_cpus", lambda: True)
-    a = np.diag(np.arange(1.0, 65.0))
-    both_started = threading.Barrier(2, timeout=30)
-    seen = {}
-
-    def solve(name):
-        def apply_a(q):
-            if name not in seen:
-                both_started.wait()
-                seen[name] = optcontrol._solves
-                both_started.wait()  # neither ends before both have looked
-            return a @ q
-        return optcontrol.gmres(apply_a, np.ones(64), None, tol=1e-10)
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = list(pool.map(solve, ("first", "second")))
-    assert all(r.converged for r in results)
-    assert seen == {"first": 2, "second": 2} and optcontrol._solves == 0
-    alone = []
-    optcontrol.gmres(lambda q: alone.append(optcontrol._solves) or a @ q, np.ones(64), None)
-    assert set(alone) == {1} and optcontrol._solves == 0
-
-    halves = []
-    monkeypatch.setattr(optcontrol, "_in_halves", lambda a, b: halves.append(1))
-    monkeypatch.setattr(optcontrol, "_solves", 2)
-    basis = np.asfortranarray(np.random.default_rng(5).standard_normal((256, 32)))
-    assert np.array_equal(optcontrol._basis_t_dot(basis, np.ones(256)), basis.T @ np.ones(256))
-    assert np.array_equal(optcontrol._basis_dot(basis, np.ones(32)), basis @ np.ones(32))
-    assert halves == []
-
-
-def test_basis_split_runs_whole_while_helper_busy(monkeypatch):
-    # a product that finds the helper in use by another solve computes in
-    # one call instead of waiting for it, and the helper serves the next one
-    monkeypatch.setattr(optcontrol, "_BLAS_ONE_THREAD", True)
-    monkeypatch.setattr(optcontrol, "_SPLIT_MIN_ENTRIES", 0)
-    monkeypatch.setattr(optcontrol, "_two_cpus", lambda: True)
-    ran = []
-    in_halves = optcontrol._in_halves
-    monkeypatch.setattr(optcontrol, "_in_halves", lambda a, b: ran.append(in_halves(a, b)) or ran[-1])
-    basis = np.asfortranarray(np.random.default_rng(4).standard_normal((256, 32)))
-    w, c = np.ones(256), np.ones(32)
-    assert optcontrol._helper_free.acquire(blocking=False)
-    try:
-        assert np.array_equal(optcontrol._basis_t_dot(basis, w), basis.T @ w)
-        assert np.array_equal(optcontrol._basis_dot(basis, c), basis @ c)
-    finally:
-        optcontrol._helper_free.release()
-    assert ran == [False, False]
-    optcontrol._basis_t_dot(basis, w)
-    assert ran == [False, False, True]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_basis_split_in_forked_child():
-    # a child forked after the helper thread started gets a helper of its own
-    run_one_blas_thread("""
-        import os
-        import signal
-        import numpy as np
-        from mgopt import optcontrol
-
-        optcontrol._SPLIT_MIN_ENTRIES = 0
-        optcontrol._two_cpus = lambda: True
-        basis = np.asfortranarray(np.random.default_rng(2).standard_normal((256, 32)))
-        w = np.ones(256)
-        optcontrol._basis_t_dot(basis, w)
-        pid = os.fork()
-        if pid == 0:
-            signal.alarm(20)  # a hung child dies rather than outlive the test
-            os._exit(0 if np.array_equal(optcontrol._basis_t_dot(basis, w), basis.T @ w) else 1)
-        assert os.waitpid(pid, 0)[1] == 0
-    """, timeout=60)
-
-
-def test_gmres_split_basis_bit_for_bit():
-    # unpreconditioned star:12 at ne=256 (6,134 unknowns), 400 steps: the
-    # split Gram-Schmidt and solution gives the serial x and residuals
-    run_one_blas_thread("""
-        import numpy as np
-        from mgopt import optcontrol
-        from mgopt.assembly import ProblemData, build_operators
-        from mgopt.graphs import make_star
-        from mgopt.mesh import build_mesh
-
-        data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
-        ops = build_operators(build_mesh(make_star(12), 256), data)
-        kkt = optcontrol.build_kkt(ops, data)
-        optcontrol._two_cpus = lambda: True
-        runs = []
-        for minimum in (2**62, 0):
-            optcontrol._SPLIT_MIN_ENTRIES = minimum
-            runs.append(optcontrol.gmres(kkt.apply, kkt.rhs, None, tol=1e-8, max_it=400))
-        serial, split = runs
-        assert serial.iterations == 400 and not serial.converged
-        assert np.array_equal(serial.x, split.x)
-        assert np.array_equal(serial.residuals, split.residuals)
-    """)
 
 
 def test_minres_diagonal_indefinite():
