@@ -141,10 +141,19 @@ def test_iteration_study_marks_nonconverged():
     assert cell.iterations is None and cell.unprecond_iterations is None
 
 
-def test_iteration_study_parallel_matches_serial():
+def test_iteration_study_parallel_matches_serial(tmp_path):
+    base = dict(graph=make_star(4), betas=(1e-2, 1e-3), ne_values=(2, 4),
+                include_unpreconditioned=False)
+    serial = iteration_study(StudyConfig(**base, jobs=1))
+    parallel = iteration_study(StudyConfig(**base, jobs=3))
+    assert [c.iterations for c in serial.cells] == [c.iterations for c in parallel.cells]
+
+
+def test_iteration_study_parallel_split_basis_matches_serial():
     # meshes solved on three threads give the counts of the serial study, and
     # every Krylov solve, preconditioned and not, its x and residuals bit for
-    # bit (thread switches every 10 us, to interleave the solves finely)
+    # bit: no solve's basis products depend on what runs beside it (thread
+    # switches every 10 us, to interleave the solves finely)
     run_one_blas_thread("""
         import sys
         from dataclasses import replace
