@@ -46,6 +46,6 @@ from .optcontrol import (
     reduced_oracle,
     solve_ocp,
 )
-from .pde import StateSolution, discrete_kirchhoff, harmonic_extension, solve_adjoint, solve_state
+from .pde import StateSolution, discrete_kirchhoff, solve_state
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ coefficient in the interval weights yields the potential mass matrix.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -257,11 +256,10 @@ class GraphFactor:
 
     def solve(self, b) -> np.ndarray:
         n_k, n_i = self.k_vi.shape
-        mul = linalg.matvec if b.ndim == 1 else operator.matmul
         x_i0 = b[:n_i] if self.chain is None else lapack.dpttrs(*self.chain, b[:n_i])[0]
-        y = np.zeros((self.lift.shape[1],) + b.shape[1:])  # zero on the Dirichlet columns
-        y[:n_k] = self.vertex_solve(b[n_i:] - mul(self.k_vi, x_i0))
-        x = mul(self.lift, y)
+        y = np.zeros(self.lift.shape[1])  # zero on the Dirichlet columns
+        y[:n_k] = self.vertex_solve(b[n_i:] - linalg.matvec(self.k_vi, x_i0))
+        x = linalg.matvec(self.lift, y)
         x[:n_i] += x_i0
         return x
 

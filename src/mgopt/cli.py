@@ -16,6 +16,7 @@ from .experiments import (
     eig_probe,
     iteration_study,
     resolve_graph_spec,
+    write_convergence_csv,
 )
 from .mesh import build_mesh
 from .optcontrol import solve_ocp_assembled
@@ -107,7 +108,6 @@ def _study_config(args, include_unpre: bool = True) -> StudyConfig:
         ybar=args.ybar,
         jobs=getattr(args, "jobs", 1),
         include_unpreconditioned=include_unpre,
-        out=args.out,
     )
 
 
@@ -137,8 +137,9 @@ def _cmd_iteration_study(args) -> int:
     cfg = _study_config(args, include_unpre=not args.no_unpreconditioned)
     study = iteration_study(cfg)
     print(study.format_table())
-    if cfg.out:
-        print(f"wrote {cfg.out}")
+    if args.out:
+        study.write_csv(args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -153,8 +154,9 @@ def _cmd_convergence_study(args) -> int:
             f"{r.n_dof:9d} {r.h:10.4g} {r.err_u:12.4e} {eoc(r.eoc_u):>6s} "
             f"{r.err_y_l2:12.4e} {eoc(r.eoc_y_l2):>6s} {r.err_y_h1:12.4e} {eoc(r.eoc_y_h1):>6s}"
         )
-    if cfg.out:
-        print(f"wrote {cfg.out}")
+    if args.out:
+        write_convergence_csv(records, args.out)
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -164,8 +166,9 @@ def _cmd_eig_probe(args) -> int:
     for kind, beta, vals in result.entries:
         mags = np.abs(vals) if len(vals) else [0.0]
         print(f"{kind:22s} beta={beta:<8g} n={len(vals):4d} |lambda| in [{min(mags):.4g}, {max(mags):.4g}]")
-    if cfg.out:
-        print(f"wrote {cfg.out}")
+    if args.out:
+        result.write_csv(args.out)
+        print(f"wrote {args.out}")
     return 0
 
 

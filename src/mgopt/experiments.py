@@ -14,7 +14,6 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import linalg
 from .assembly import ProblemData, assemble_stiffness, build_operators
 from .graphs import (
     MetricGraph,
@@ -81,7 +80,6 @@ class StudyConfig:
     ybar: object = 1.0
     jobs: int = 1
     include_unpreconditioned: bool = True
-    out: str | None = None
 
     def __post_init__(self):
         self.betas = tuple(float(b) for b in self.betas)
@@ -90,6 +88,9 @@ class StudyConfig:
             raise ValueError("parameter sweeps must be nonempty")
         if min(self.ne_values) < 1:
             raise ValueError(f"intervals per edge must be at least 1, got {min(self.ne_values)}")
+        repeated = sorted({k for k in self.ne_values if self.ne_values.count(k) > 1})
+        if repeated:
+            raise ValueError(f"repeated levels in the sweep: {', '.join(map(str, repeated))}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if self.jobs < 1:
@@ -199,10 +200,7 @@ def iteration_study(cfg: StudyConfig) -> IterationStudy:
     else:
         by_mesh = [run_mesh(n_e) for n_e in cfg.ne_values]
     cells = [column[i] for i in range(len(cfg.betas)) for column in by_mesh]
-    study = IterationStudy(cfg, cells)
-    if cfg.out:
-        study.write_csv(cfg.out)
-    return study
+    return IterationStudy(cfg, cells)
 
 
 @dataclass(eq=False)
@@ -235,9 +233,6 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     stiffness matrices.
     """
     levels = sorted(cfg.ne_values)
-    repeated = sorted({k for k in levels if levels.count(k) > 1})
-    if repeated:
-        raise ValueError(f"repeated levels in the sweep: {', '.join(map(str, repeated))}")
     ref_ne = cfg.ref_ne if cfg.ref_ne is not None else 4 * levels[-1]
     for k_prev, k in zip(levels, levels[1:]):
         if k % k_prev != 0:
@@ -288,8 +283,6 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         cur.eoc_y_l2 = _eoc(prev.err_y_l2, cur.err_y_l2, ratio)
         cur.eoc_y_h1 = _eoc(prev.err_y_h1, cur.err_y_h1, ratio)
         cur.eoc_y_h1semi = _eoc(prev.err_y_h1semi, cur.err_y_h1semi, ratio)
-    if cfg.out:
-        write_convergence_csv(records, cfg.out)
     return records
 
 
@@ -348,7 +341,7 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
                 mat = dense
             else:
                 mat = np.column_stack([pc.apply(dense[:, j]) for j in range(dim)])
-            entries.append((pc.kind, beta, linalg.dense_eigs(mat)))
+            entries.append((pc.kind, beta, scipy.linalg.eigvals(mat)))
         # Mass-block probe: exact-Schur block diagonal against the 2x2 mass block.
         n_f, n_d = ops.n_free, ops.n_dirichlet
         mass = np.block(
@@ -358,11 +351,8 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
         m_ff = ops.M_FF.toarray()
         s_m = mass[n_f:, n_f:] - mass[n_f:, :n_f] @ np.linalg.solve(m_ff, mass[:n_f, n_f:])
         block = scipy.linalg.block_diag(m_ff, s_m)
-        entries.append(("mass", beta, linalg.dense_eigs(np.linalg.solve(block, mass))))
-    result = EigProbeResult(entries)
-    if cfg.out:
-        result.write_csv(cfg.out)
-    return result
+        entries.append(("mass", beta, scipy.linalg.eigvals(np.linalg.solve(block, mass))))
+    return EigProbeResult(entries)
 
 
 def dump_matrices(ops, directory) -> None:

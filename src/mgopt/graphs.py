@@ -217,8 +217,9 @@ def _json_entries(path: Path, payload, key: str) -> list:
 def _json_field(path: Path, what: str, index: int, entry, key: str, convert, default=None):
     """``convert(entry[key])`` for the index-th vertex or edge of a JSON graph,
     or ``default`` when the key is absent and a default is given; any other
-    fault raises GraphFormatError naming the entry.  With ``convert=int`` a
-    boolean or a number with a fractional part is such a fault, not truncated."""
+    fault raises GraphFormatError naming the entry.  A boolean is such a
+    fault, not read as 0 or 1, and with ``convert=int`` so is a number with a
+    fractional part, not truncated."""
     def fault(text):
         return GraphFormatError(f"{path}: {what} entry {index} ({json.dumps(entry)}) {text}")
 
@@ -229,8 +230,8 @@ def _json_field(path: Path, what: str, index: int, entry, key: str, convert, def
             raise fault(f"has no {key!r}")
         return default
     value = entry[key]
-    if convert is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
-        raise fault(f"has a non-integer {key!r}")
+    if isinstance(value, bool) or (convert is int and isinstance(value, float) and not value.is_integer()):
+        raise fault(f"has a non-{'integer' if convert is int else 'numeric'} {key!r}")
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Factorization-backed sparse solves and a dense eigenvalue probe.
+"""Factorization-backed sparse solves and the Krylov loops' matvec.
 
 Matrices are scipy CSR/CSC throughout.  ``factor`` makes complete SuperLU
 decompositions with fill-reducing orderings, computed once and reused.
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # scipy's compiled matvec kernels live in a private module; only ``matvec``
@@ -23,7 +21,7 @@ from scipy.sparse import _sparsetools
 
 
 # Largest dimension of a matrix made dense: the KKT operator in oracles and
-# eigenvalue probes, the ideal preconditioner, and the probed spectra.
+# eigenvalue probes, and the ideal preconditioner.
 DENSE_CAP = 2000
 
 
@@ -109,11 +107,3 @@ def factor(a, kind: str = "cholesky") -> Factorization:
         raise ValueError(f"unknown factorization kind {kind!r}")
     return Factorization(kind, a.shape[0], lu)
 
-
-def dense_eigs(a) -> np.ndarray:
-    """Eigenvalues of a general real matrix (dense probe, at most DENSE_CAP rows)."""
-    n = a.shape[0]
-    if n > DENSE_CAP:
-        raise ValueError(f"dense eigenvalue probe capped at {DENSE_CAP}, got {n}")
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-    return scipy.linalg.eigvals(dense)

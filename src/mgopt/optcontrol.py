@@ -24,7 +24,7 @@ from .assembly import FeOperators, ProblemData, build_operators, l2_distance_sq
 from .graphs import MetricGraph
 from .mesh import PiecewiseLinearFunction, build_mesh
 from .mesh import nodal_values  # noqa: F401  (mgbench traces this module attribute)
-from .pde import discrete_kirchhoff, harmonic_extension, solve_state
+from .pde import discrete_kirchhoff, solve_state
 
 PRECONDITIONER_KINDS = ("none", "ideal", "matched_symmetric", "matched_nonsymmetric")
 
@@ -125,8 +125,6 @@ def build_kkt(ops: FeOperators, data: ProblemData) -> KktSystem:
 
     c0, f and ybar must be those ``ops`` was assembled with (ValueError otherwise).
     """
-    if not data.beta > 0:
-        raise ValueError("regularization weight must be positive")
     _require_assembled_data(ops, data)
     return KktSystem(ops, data.beta, np.concatenate([ops.ybar_F, ops.ybar_D, ops.f_F]))
 
@@ -647,7 +645,7 @@ def reduced_oracle(graph: MetricGraph, n_e: int, data: ProblemData, cap: int = 5
     """Brute-force control via the dense reduced normal equations.
 
     Builds G_ij = (S e_i, S e_j)_{L2} + beta delta_ij column by column from
-    harmonic-extension solves and r_i = (ybar - y_f, S e_i)_{L2}, where y_f
+    zero-load state solves S e_i and r_i = (ybar - y_f, S e_i)_{L2}, where y_f
     is the state at zero control and ybar's load is ``ops.ybar_vec`` as in
     the KKT right-hand side, then solves the dense n_D x n_D system.
     Independent of the KKT path; intended as a cross-check at small control
@@ -661,9 +659,7 @@ def reduced_oracle(graph: MetricGraph, n_e: int, data: ProblemData, cap: int = 5
     if n_d == 0:
         return np.zeros(0)
     y_f = solve_state(ops, f_vec=ops.f_vec).y.values
-    columns = np.column_stack(
-        [harmonic_extension(ops, np.eye(n_d)[i]).values for i in range(n_d)]
-    )
+    columns = np.column_stack([solve_state(ops, e).y.values for e in np.eye(n_d)])
     gram = columns.T @ (ops.M @ columns) + data.beta * np.eye(n_d)
     rhs = columns.T @ (ops.ybar_vec - ops.M @ y_f)
     return scipy.linalg.solve(gram, rhs, assume_a="pos")

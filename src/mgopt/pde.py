@@ -1,4 +1,4 @@
-"""Discrete forward machinery: state solves, harmonic extension, adjoint, fluxes."""
+"""Discrete forward machinery: state solves and vertex fluxes."""
 
 from __future__ import annotations
 
@@ -18,8 +18,9 @@ def _values(x) -> np.ndarray:
 class StateSolution:
     """The discrete state; it matches the control at Dirichlet nodes exactly.
 
-    With zero control it is the source-driven part, so nodal-wise
-    y(u) = harmonic_extension(ops, u) + y(0) up to solver accuracy.
+    With zero control it is the source-driven part y(0); with zero load it
+    is S u, the control-to-state map, so nodal-wise y(u) = S u + y(0) up to
+    solver accuracy.
     """
 
     y: PiecewiseLinearFunction
@@ -42,34 +43,6 @@ def solve_state(ops: FeOperators, u=None, f_vec=None) -> StateSolution:
     y[:nf] = ops.kff_factor().solve(f_free - ops.K_FD @ u)
     y[nf:] = u
     return StateSolution(PiecewiseLinearFunction(mesh, y))
-
-
-def harmonic_extension(ops: FeOperators, u) -> PiecewiseLinearFunction:
-    """Extension of Dirichlet data with vanishing bilinear-form residual on free nodes."""
-    mesh = ops.mesh
-    nf, nd = ops.n_free, ops.n_dirichlet
-    u = np.asarray(u, dtype=float)
-    if u.shape != (nd,):
-        raise ValueError(f"expected {nd} Dirichlet values, got {u.shape}")
-    out = np.empty(mesh.n_dof)
-    out[:nf] = ops.kff_factor().solve(-(ops.K_FD @ u))
-    out[nf:] = u
-    return PiecewiseLinearFunction(mesh, out)
-
-
-def solve_adjoint(ops: FeOperators, source) -> PiecewiseLinearFunction:
-    """Solve K_FF p_F = (M source)_F with homogeneous Dirichlet values.
-
-    ``source`` is the right-hand-side function (nodal values or a
-    PiecewiseLinearFunction); K is symmetric, so the same factorization as
-    the state solve applies.
-    """
-    mesh = ops.mesh
-    nf = ops.n_free
-    rhs = (ops.M @ _values(source))[:nf]
-    out = np.zeros(mesh.n_dof)
-    out[:nf] = ops.kff_factor().solve(rhs)
-    return PiecewiseLinearFunction(mesh, out)
 
 
 def discrete_kirchhoff(ops: FeOperators, p, source) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Shared test oracles: the graph Laplacian, per-edge DOF walks,
-element-by-element assembly, tridiagonal solves, random graphs and meshes, and a
-fresh interpreter with one BLAS thread.
+element-by-element assembly, tridiagonal solves, the adjoint solve, random
+graphs and meshes, and a fresh interpreter with one BLAS thread.
 
 These deliberately avoid the incidence-matrix code paths they are used to
 check.
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from mgopt.graphs import MetricGraph
-from mgopt.mesh import ExtendedMesh
+from mgopt.mesh import ExtendedMesh, PiecewiseLinearFunction
 
 
 def graph_laplacian(g):
@@ -104,6 +104,19 @@ def thomas_solve(lower, diag, upper, rhs):
     for i in range(n - 2, -1, -1):
         x[i] = (b[i] - c[i] * x[i + 1]) / d[i]
     return x
+
+
+def solve_adjoint(ops, source):
+    """Solve K_FF p_F = (M source)_F with homogeneous Dirichlet values.
+
+    ``source`` holds nodal values; K is symmetric, so the state solve's
+    K_FF factorization applies.  With ``discrete_kirchhoff`` this is the
+    adjoint P of criterion 2, (y, S z)_{L2} = -z^T K(P y).
+    """
+    nf = ops.n_free
+    out = np.zeros(ops.mesh.n_dof)
+    out[:nf] = ops.kff_factor().solve((ops.M @ source)[:nf])
+    return PiecewiseLinearFunction(ops.mesh, out)
 
 
 def random_metric_graph(rng, n_min=4, n_max=12, extra_edges=2, unit_lengths=False):

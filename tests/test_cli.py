@@ -142,12 +142,13 @@ def test_convergence_study_cli(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--ne", "4,4"], "repeated levels in the sweep: 4"),
-    (["--ne", "0,4"], "intervals per edge must be at least 1, got 0"),
-    (["--ne", "4,8", "--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["convergence-study", "--ne", "4,4"], "repeated levels in the sweep: 4"),
+    (["convergence-study", "--ne", "0,4"], "intervals per edge must be at least 1, got 0"),
+    (["convergence-study", "--ne", "4,8", "--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["iteration-study", "--ne", "4,4"], "repeated levels in the sweep: 4"),
 ])
 def test_convergence_study_bad_sweep_is_reported(capsys, args, message):
-    code = cli_main(["convergence-study", "--graph", "star:3", *args])
+    code = cli_main([*args, "--graph", "star:3"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -95,6 +95,9 @@ def test_study_config_validation():
     for jobs in (0, -2):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
             StudyConfig(graph=g, jobs=jobs)
+    # every study rejects a repeated level, not only the convergence study
+    with pytest.raises(ValueError, match="repeated levels in the sweep: 4$"):
+        StudyConfig(graph=g, ne_values=(4, 8, 4))
 
 
 def test_iteration_study_shape_and_csv(tmp_path):
@@ -103,9 +106,9 @@ def test_iteration_study_shape_and_csv(tmp_path):
         betas=(1e-2, 1e-3),
         ne_values=(2, 4),
         include_unpreconditioned=True,
-        out=str(tmp_path / "study.csv"),
     )
     study = iteration_study(cfg)
+    study.write_csv(tmp_path / "study.csv")
     assert len(study.cells) == 4
     for cell in study.cells:
         assert cell.iterations is not None
@@ -120,7 +123,7 @@ def test_iteration_study_shape_and_csv(tmp_path):
         return [[row[0], row[1], row[2], row[3], row[5]] for row in rows]
 
     first = semantic_rows(tmp_path / "study.csv")
-    iteration_study(cfg)
+    iteration_study(cfg).write_csv(tmp_path / "study.csv")
     assert semantic_rows(tmp_path / "study.csv") == first
     assert first[0] == ["beta", "n_e", "n_dof", "iterations", "unpreconditioned_iterations"]
 
@@ -246,9 +249,9 @@ def test_convergence_study_reference_self_comparison(tmp_path):
         c0=2.0,
         f=1.5,
         ybar=1.0,
-        out=str(tmp_path / "conv.csv"),
     )
     records = convergence_study(cfg)
+    write_convergence_csv(records, tmp_path / "conv.csv")
     last = records[-1]
     assert last.n_e == 16
     assert last.err_u == 0.0
@@ -311,9 +314,8 @@ def test_convergence_study_rejects_non_nested():
 def test_convergence_study_rejects_repeated_levels():
     # a repeated level would divide the error ratio by log(1)
     for ne_values, repeated in (((4, 4), "4"), ((8, 4, 8, 16, 4), "4, 8")):
-        cfg = StudyConfig(graph=make_star(3), betas=(0.1,), ne_values=ne_values)
         with pytest.raises(ValueError, match=f"repeated levels in the sweep: {repeated}$"):
-            convergence_study(cfg)
+            convergence_study(StudyConfig(graph=make_star(3), betas=(0.1,), ne_values=ne_values))
 
 
 def test_eig_probe_spectra(tmp_path):
@@ -324,9 +326,9 @@ def test_eig_probe_spectra(tmp_path):
         c0=2.0,
         f=1.5,
         ybar=1.0,
-        out=str(tmp_path / "eig.csv"),
     )
     probe = eig_probe(cfg)
+    probe.write_csv(tmp_path / "eig.csv")
     # identity preconditioner: indefinite saddle spectrum straddling zero
     ev = probe.get("none", 1e-2)
     assert ev.real.min() < 0 < ev.real.max()

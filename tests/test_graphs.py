@@ -299,10 +299,15 @@ def test_graph_json_defaults_and_errors(tmp_path):
         ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": -0.5, "v": 1}]}, "edge entry 0 .* non-integer 'u'"),
         ({"vertices": [{"id": False}, {"id": True}], "edges": []}, "vertex entry 0 .* non-integer 'id'"),
         ({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": True}]}, "edge entry 0 .* non-integer 'v'"),
+        # a boolean length is not length 1.0
+        (
+            {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1, "length": True}]},
+            "edge entry 0 .* non-numeric 'length'",
+        ),
     ],
     ids=["no-id", "no-v", "int-vertices", "list-edge", "text-id", "null-u", "list-v", "text-length",
          "int-vertex-list", "no-edges", "fractional-id", "fractional-v", "fractional-u", "bool-id",
-         "bool-v"],
+         "bool-v", "bool-length"],
 )
 def test_graph_json_malformed_entries(tmp_path, payload, message):
     path = tmp_path / "g.json"

@@ -3,10 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from mgopt.linalg import (
-    DENSE_CAP,
     NotPositiveDefiniteError,
     SingularMatrixError,
-    dense_eigs,
     factor,
     matvec,
 )
@@ -54,22 +52,6 @@ def test_factor_validates_input():
     f = factor(sp.identity(3).tocsr(), "lu")
     with pytest.raises(ValueError, match="mismatch"):
         f.solve(np.ones(4))
-
-
-def test_dense_eigs_known_spectra():
-    assert np.allclose(sorted(dense_eigs(np.diag([1.0, 2.0, 3.0])).real), [1, 2, 3])
-    ev = dense_eigs(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    assert np.allclose(sorted(ev.imag), [-1.0, 1.0], atol=1e-12)
-    n = 10
-    tri = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1])
-    ev = np.sort(dense_eigs(tri).real)
-    expected = np.sort(2 - 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-    assert np.allclose(ev, expected, atol=1e-8)
-
-
-def test_dense_eigs_cap():
-    with pytest.raises(ValueError, match="capped"):
-        dense_eigs(sp.identity(DENSE_CAP + 1, format="csr"))
 
 
 def test_spd_solve_round_trip():

@@ -9,9 +9,9 @@ from mgopt import linalg
 from mgopt.assembly import ProblemData, SingularOperatorError, assemble_stiffness, build_operators
 from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_path, make_star
 from mgopt.mesh import build_mesh, nodal_values
-from mgopt.pde import discrete_kirchhoff, harmonic_extension, solve_adjoint, solve_state
+from mgopt.pde import discrete_kirchhoff, solve_state
 
-from helpers import controlled_meshes, edge_node_dofs, random_metric_graph
+from helpers import controlled_meshes, edge_node_dofs, random_metric_graph, solve_adjoint
 
 
 def single_edge(length=1.0):
@@ -59,14 +59,14 @@ def test_state_decomposition():
     u = rng.standard_normal(g.n_dirichlet)
     sol = solve_state(ops, u=u, f_vec=ops.f_vec)
     source_driven = solve_state(ops, f_vec=ops.f_vec).y.values
-    combined = harmonic_extension(ops, u).values + source_driven
+    combined = solve_state(ops, u).y.values + source_driven
     assert np.linalg.norm(sol.y.values - combined) <= 1e-12 * max(np.linalg.norm(combined), 1.0)
     assert np.allclose(sol.y.values[ops.mesh.vertex_dof[ops.mesh.dirichlet_vertices]], u)
 
 
 def test_state_solve_makes_one_kff_solve(monkeypatch):
     # y alone; its source-driven part is solve_state at zero control and its
-    # control-driven part harmonic_extension(ops, u)
+    # control-driven part solve_state(ops, u).y
     ops = build(make_star(3), 4, c0=1.0, f=2.0)
     kff = ops.kff_factor()
     calls = []
@@ -88,10 +88,10 @@ def test_harmonic_extension_zero_and_residual():
     rng = np.random.default_rng(1)
     g = random_metric_graph(rng)
     ops = build(g, 4, c0=0.5)
-    zero = harmonic_extension(ops, np.zeros(g.n_dirichlet))
+    zero = solve_state(ops, np.zeros(g.n_dirichlet)).y
     assert np.all(zero.values == 0.0)
     u = rng.standard_normal(g.n_dirichlet)
-    s = harmonic_extension(ops, u)
+    s = solve_state(ops, u).y
     residual = (ops.K @ s.values)[: ops.n_free]
     assert np.abs(residual).max() <= 1e-10
 
@@ -99,7 +99,7 @@ def test_harmonic_extension_zero_and_residual():
 def test_harmonic_extension_ramp_seminorm():
     for length in (1.0, 2.0):
         ops = build(single_edge(length), 16, c0=0.0)
-        s = harmonic_extension(ops, np.array([0.0, 1.0]))
+        s = solve_state(ops, np.array([0.0, 1.0])).y
         semi_sq = h1_seminorm(ops, s.values) ** 2
         assert abs(semi_sq - 1.0 / length) <= 1e-12
 
@@ -111,7 +111,7 @@ def test_harmonic_extension_stability_under_refinement():
     ratios = []
     for n_e in (2, 4, 8, 16, 32, 64, 128, 256):
         ops = build(g, n_e, c0=0.0)
-        s = harmonic_extension(ops, u)
+        s = solve_state(ops, u).y
         ratios.append(math.hypot(ops.l2_norm(s.values), h1_seminorm(ops, s.values)) / np.linalg.norm(u))
     for prev, cur in zip(ratios[4:], ratios[5:]):
         assert abs(cur - prev) <= 0.05 * prev
@@ -163,7 +163,7 @@ def test_adjoint_identity_random():
         for _ in range(40):
             y = rng.standard_normal(ops.mesh.n_dof)
             z = rng.standard_normal(g.n_dirichlet)
-            s = harmonic_extension(ops, z)
+            s = solve_state(ops, z).y
             lhs = ops.l2_inner(y, s.values)
             p = solve_adjoint(ops, y)
             rhs = -z @ discrete_kirchhoff(ops, p, y)
@@ -210,6 +210,6 @@ def test_criterion_2_adjoint_identity_on_random_meshes(mesh_and_c0, seed):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(mesh.n_dof)
     z = rng.standard_normal(ops.n_dirichlet)
-    lhs = ops.l2_inner(y, harmonic_extension(ops, z).values)
+    lhs = ops.l2_inner(y, solve_state(ops, z).y.values)
     rhs = -z @ discrete_kirchhoff(ops, solve_adjoint(ops, y), y)
     assert abs(lhs - rhs) <= 1e-10 * max(ops.l2_norm(y) * np.linalg.norm(z), 1e-12)
