@@ -132,6 +132,15 @@ class ProblemData:
     ybar: object = 0.0
 
     def __post_init__(self):
+        for name in ("beta", "c0", "f", "ybar"):
+            value = getattr(self, name)
+            if callable(value):
+                continue  # sampled values are checked by mesh.interval_samples
+            arr = np.asarray(value, dtype=float)
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                where = f" on edge {bad[0]}" if arr.ndim else ""
+                raise ValueError(f"{name} must be finite, got {arr.flat[bad[0]]}{where}")
         if not self.beta > 0:
             raise ValueError(f"regularization weight must be positive, got {self.beta}")
         c0 = self.c0

@@ -225,13 +225,15 @@ def _eoc(prev: float, cur: float, ratio: float) -> float | None:
 
 
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
-    """Errors against the prolonged reference solution on the finest grid.
+    """Errors against the prolonged reference solution on the finest grid, at one beta.
 
     The sweep must be edgewise nested (every level must divide the reference
     level, which defaults to four times the finest level); control errors are
     plain Euclidean norms, state errors use the reference-mesh mass and
     stiffness matrices.
     """
+    if len(cfg.betas) != 1:
+        raise ValueError(f"the convergence study runs at one beta, got {len(cfg.betas)}")
     levels = sorted(cfg.ne_values)
     ref_ne = cfg.ref_ne if cfg.ref_ne is not None else 4 * levels[-1]
     for k_prev, k in zip(levels, levels[1:]):
@@ -325,7 +327,9 @@ class EigProbeResult:
 
 def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
     """Spectra of the preconditioned KKT operator and of the preconditioned
-    mass block, per beta, at dense-probe scale."""
+    mass block, per beta, on one mesh at dense-probe scale."""
+    if len(cfg.ne_values) != 1:
+        raise ValueError(f"the eigenvalue probe runs on one mesh level, got {len(cfg.ne_values)}")
     n_e = cfg.ne_values[0]
     # The operators do not depend on beta; their cached blocks serve every beta.
     ops = build_operators(build_mesh(cfg.graph, n_e), cfg.problem_data(cfg.betas[0]))
@@ -342,13 +346,11 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
             else:
                 mat = np.column_stack([pc.apply(dense[:, j]) for j in range(dim)])
             entries.append((pc.kind, beta, scipy.linalg.eigvals(mat)))
-        # Mass-block probe: exact-Schur block diagonal against the 2x2 mass block.
-        n_f, n_d = ops.n_free, ops.n_dirichlet
-        mass = np.block(
-            [[ops.M_FF.toarray(), ops.M_FD.toarray()],
-             [ops.M_FD.T.toarray(), ops.M_DD.toarray() + beta * np.eye(n_d)]]
-        )
-        m_ff = ops.M_FF.toarray()
+        # Mass-block probe: exact-Schur block diagonal against the 2x2 mass
+        # block, the top-left [[M_FF, M_FD], [M_DF, M_DD + beta I]] of the KKT matrix.
+        n_f = ops.n_free
+        mass = dense[: n_f + ops.n_dirichlet, : n_f + ops.n_dirichlet]
+        m_ff = mass[:n_f, :n_f]
         s_m = mass[n_f:, n_f:] - mass[n_f:, :n_f] @ np.linalg.solve(m_ff, mass[:n_f, n_f:])
         block = scipy.linalg.block_diag(m_ff, s_m)
         entries.append(("mass", beta, scipy.linalg.eigvals(np.linalg.solve(block, mass))))

@@ -143,6 +143,8 @@ def interval_samples(mesh: ExtendedMesh, g) -> tuple[np.ndarray, np.ndarray]:
         ne = int(mesh.n_intervals[e])
         if vals.shape != (ne + 1,):
             raise ValueError(f"sampler returned {vals.shape} values for edge {e}")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"sampler returned a non-finite value on edge {e}")
         cols = slice(mesh.interval_offsets[e], mesh.interval_offsets[e + 1])
         tail[cols] = vals[:-1]
         head[cols] = vals[1:]

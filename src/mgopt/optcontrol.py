@@ -275,12 +275,15 @@ class KrylovResult:
     stop_residual: float
 
 
-def _require_stop(tol: float, max_it: int) -> None:
-    # a tolerance of 0, below 0 or NaN is never met: the run would go to the cap
+def _require_stop(tol: float, max_it: int, b_norm: float) -> None:
+    # a tolerance of 0, below 0 or NaN is never met, nor is any tolerance on a
+    # right-hand side that is not finite: the run would go to the cap
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_it < 0:
         raise ValueError(f"iteration cap must be at least 0, got {max_it}")
+    if not np.isfinite(b_norm):
+        raise ValueError(f"right-hand side must be finite, got norm {b_norm}")
 
 
 def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
@@ -300,9 +303,9 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
         apply_p_inv = lambda q: q
     if max_it is None:
         max_it = n
-    _require_stop(tol, max_it)
-    k_max = min(max_it, n)
     b_norm = float(np.linalg.norm(b))
+    _require_stop(tol, max_it, b_norm)
+    k_max = min(max_it, n)
     if b_norm == 0.0:
         return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
     residuals = [1.0]
@@ -413,7 +416,8 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
         apply_p_inv = lambda q: q
     if max_it is None:
         max_it = n
-    _require_stop(tol, max_it)
+    b_norm = float(np.linalg.norm(b))
+    _require_stop(tol, max_it, b_norm)
 
     rng = np.random.default_rng(12345)
     vp = rng.standard_normal(n)
@@ -424,7 +428,6 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
     if abs(av @ wp - vp @ aw) > 1e-10 * max(scale, 1.0):
         raise ValueError("operator is not symmetric; MINRES requires <Av,w> = <v,Aw>")
 
-    b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
 

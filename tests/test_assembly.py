@@ -282,6 +282,17 @@ def test_problem_data_validation():
         ProblemData(beta=1.0, c0=-1.0)
     with pytest.raises(ValueError, match="nonnegative"):
         ProblemData(beta=1.0, c0=np.array([1.0, -2.0]))
+    # a value that is not finite would reach the solve as NaN; each names its field
+    for kwargs, message in (
+        (dict(beta=np.inf), "beta must be finite, got inf"),
+        (dict(beta=np.nan), "beta must be finite, got nan"),
+        (dict(beta=1.0, c0=np.inf), "c0 must be finite, got inf"),
+        (dict(beta=1.0, c0=np.array([1.0, np.nan])), "c0 must be finite, got nan on edge 1"),
+        (dict(beta=1.0, f=np.nan), "f must be finite, got nan"),
+        (dict(beta=1.0, ybar=np.array([0.0, 1.0, -np.inf])), "ybar must be finite, got -inf on edge 2"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProblemData(**kwargs)
 
 
 def test_kff_factor_requires_coercivity():

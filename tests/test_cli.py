@@ -144,13 +144,30 @@ def test_convergence_study_cli(tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["convergence-study", "--ne", "4,4"], "repeated levels in the sweep: 4"),
     (["convergence-study", "--ne", "0,4"], "intervals per edge must be at least 1, got 0"),
-    (["convergence-study", "--ne", "4,8", "--jobs", "0"], "jobs must be at least 1, got 0"),
     (["iteration-study", "--ne", "4,4"], "repeated levels in the sweep: 4"),
 ])
 def test_convergence_study_bad_sweep_is_reported(capsys, args, message):
     code = cli_main([*args, "--graph", "star:3"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("probe, message", [
+    (["--f", "nan"], "f must be finite, got nan"),
+    (["--c0", "nan"], "c0 must be finite, got nan"),
+    (["--beta", "inf"], "beta must be finite, got inf"),
+    (["--c0", "inf"], "c0 must be finite, got inf"),
+    (["--ybar", "inf"], "ybar must be finite, got inf"),
+])
+def test_solve_non_finite_data_is_reported(capsys, monkeypatch, probe, message):
+    steps = []
+    for name in ("gmres", "minres"):
+        solver = getattr(optcontrol, name)
+        monkeypatch.setattr(optcontrol, name, lambda *a, solver=solver, **k: steps.append(1) or solver(*a, **k))
+    code = cli_main(["solve", "--graph", "fdmL:10", "--ne", "8", *probe])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not steps
 
 
 def test_iteration_study_bad_jobs_are_reported(capsys):
@@ -178,6 +195,23 @@ def test_eig_probe_cli(tmp_path, capsys, monkeypatch):
     assert f"wrote {out}" in text
     assert writes == [str(out)]
     assert out.read_text().startswith("kind,beta,re,im")
+
+
+@pytest.mark.parametrize("args", [
+    # options a command does not read are not accepted
+    ["solve", "--out", "x.csv"],
+    ["convergence-study", "--jobs", "2"],
+    *(["eig-probe", option, value] for option, value in (
+        ("--jobs", "2"), ("--solver", "minres"), ("--precon", "sym"), ("--tol", "1e-6"),
+        ("--maxit", "5"), ("--f", "-7"), ("--ybar", "3.3"),
+    )),
+    # the convergence study runs at one beta, the probe on one mesh
+    ["convergence-study", "--beta", "1e-2,1e-3"],
+    ["eig-probe", "--ne", "2,4"],
+])
+def test_options_a_command_does_not_read_exit_2(capsys, args):
+    assert cli_main([*args, "--graph", "star:3"]) == 2
+    assert "usage: mgopt " in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

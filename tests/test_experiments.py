@@ -15,7 +15,7 @@ from mgopt.experiments import (
     resolve_graph_spec,
     write_convergence_csv,
 )
-from mgopt import assembly, linalg
+from mgopt import assembly, experiments, linalg
 from mgopt.assembly import ProblemData, assemble_stiffness, build_operators
 from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_star
 from mgopt.mesh import build_mesh
@@ -316,6 +316,20 @@ def test_convergence_study_rejects_repeated_levels():
     for ne_values, repeated in (((4, 4), "4"), ((8, 4, 8, 16, 4), "4, 8")):
         with pytest.raises(ValueError, match=f"repeated levels in the sweep: {repeated}$"):
             convergence_study(StudyConfig(graph=make_star(3), betas=(0.1,), ne_values=ne_values))
+
+
+def test_studies_reject_sweeps_they_would_cut_short(monkeypatch):
+    # the convergence study runs at one beta and the probe on one mesh; the
+    # rest of a longer sweep was dropped without a word, so it is rejected
+    # before any mesh is built
+    built = []
+    monkeypatch.setattr(experiments, "build_mesh", lambda *a: built.append(a))
+    g = make_star(3)
+    with pytest.raises(ValueError, match="^the convergence study runs at one beta, got 2$"):
+        convergence_study(StudyConfig(graph=g, betas=(1e-2, 1e-3), ne_values=(4, 8)))
+    with pytest.raises(ValueError, match="^the eigenvalue probe runs on one mesh level, got 2$"):
+        eig_probe(StudyConfig(graph=g, betas=(1e-2,), ne_values=(2, 4)))
+    assert not built
 
 
 def test_eig_probe_spectra(tmp_path):

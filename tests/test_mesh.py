@@ -191,3 +191,5 @@ def test_nodal_values_sampler():
     assert np.allclose(along, np.array([0.0, 0.25, 0.5, 0.75, 1.0]) ** 2)
     with pytest.raises(ValueError):
         nodal_values(mesh, lambda e, x: x[:-1])
+    with pytest.raises(ValueError, match="sampler returned a non-finite value on edge 0"):
+        nodal_values(mesh, lambda e, x: np.where(x > 0.5, np.nan, x))

@@ -528,6 +528,21 @@ def test_krylov_rejects_a_negative_cap(solver):
     assert np.array_equal(res.x, np.zeros(5))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", [gmres, minres])
+def test_krylov_rejects_a_right_hand_side_not_finite(solver, entry):
+    # its relative residual is never below tol: the run would go to the cap on NaN
+    calls = []
+
+    def apply_a(x):
+        calls.append(1)
+        return 2.0 * x
+
+    with pytest.raises(ValueError, match=f"right-hand side must be finite, got norm {entry}"):
+        solver(apply_a, np.array([1.0, entry, 0.0]))
+    assert not calls
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
 @pytest.mark.parametrize("solver", [gmres, minres])
 def test_krylov_rejects_a_tolerance_never_met(solver, tol):
