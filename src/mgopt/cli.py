@@ -31,6 +31,29 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--opt -1e-3`` as ``--opt=-1e-3``, for every value that reads
+    as a number or a comma-separated list of them.
+
+    argparse takes a word that starts with ``-`` for an option unless it is
+    a plain negative decimal such as ``-1`` or ``-.5``, so ``-1e-3`` and
+    ``-inf`` would leave the option before them without a value.
+    """
+    out: list[str] = []
+    for word in argv:
+        prev = out[-1] if out else ""
+        if word.startswith("-") and prev.startswith("--") and len(prev) > 2 and "=" not in prev:
+            try:
+                _float_list(word)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{prev}={word}"
+                continue
+        out.append(word)
+    return out
+
+
 def _add_options(p: argparse.ArgumentParser, *groups: str) -> None:
     """Add the shared option groups a command reads: graph, c0, loads, solver, out."""
     if "graph" in groups:
@@ -98,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph-info", help="print vertex/edge/control counts of a graph spec")
     _add_options(p, "graph")
     p.set_defaults(func=_cmd_graph_info)
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -179,8 +204,13 @@ def _cmd_graph_info(graph: MetricGraph, args) -> int:
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # argparse hands a command's unknown options back to the top-level
+            # parser, whose usage line lists the commands, not the options
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -73,18 +73,23 @@ class KktSystem:
         return x[:nf], x[nf : nf + nd], x[nf + nd :]
 
     def apply(self, x) -> np.ndarray:
+        x1, x2, x3 = self.split(np.asarray(x, dtype=float))
+        return self._rows(x1, x2, linalg.matvec(self.ops.K_FF, x3), linalg.matvec(self._k_df, x3))
+
+    def _rows(self, x1, x2, kff_x3, kdf_x3) -> np.ndarray:
+        """The operator at (x1, x2, x3), given the third block column's
+        products K_FF x3 and K_FD^T x3."""
         # each row adds its products left to right, the order the tests hold
         # it to against the plain scipy expression, bit for bit
         ops, mv = self.ops, linalg.matvec
-        x1, x2, x3 = self.split(np.asarray(x, dtype=float))
         nf, nd = x1.size, x2.size
         out = np.empty(2 * nf + nd)
         top, mid, low = out[:nf], out[nf : nf + nd], out[nf + nd :]
         np.add(mv(ops.M_FF, x1), mv(ops.M_FD, x2), out=top)
-        top += mv(ops.K_FF, x3)
+        top += kff_x3
         np.add(mv(self._m_df, x1), mv(ops.M_DD, x2), out=mid)
         mid += self.beta * x2
-        mid += mv(self._k_df, x3)
+        mid += kdf_x3
         np.add(mv(ops.K_FF, x1), mv(ops.K_FD, x2), out=low)
         return out
 
@@ -137,15 +142,25 @@ class Preconditioner:
     admissible for MINRES.
     """
 
-    def __init__(self, kind, n_f, n_d, apply_fn, symmetric_definite):
+    def __init__(self, kind, n_f, n_d, apply_fn, symmetric_definite, fuse_fn=None):
         self.kind = kind
         self.n_f = n_f
         self.n_d = n_d
         self._apply = apply_fn
+        self._fuse = fuse_fn
         self.symmetric_definite = symmetric_definite
 
     def apply(self, r) -> np.ndarray:
         return self._apply(np.asarray(r, dtype=float))
+
+    def fused_product(self, kkt: KktSystem):
+        """``r -> kkt.apply(self.apply(r))`` as one callable that saves work
+        the two applies repeat, or None if this kind has none.
+
+        Only ``matched_nonsymmetric`` has one.  Raises ValueError if ``kkt``
+        is on other operators or at another beta than the preconditioner.
+        """
+        return None if self._fuse is None else self._fuse(kkt)
 
 
 def _mass_diag_schur(ops: FeOperators, beta: float):
@@ -249,18 +264,44 @@ def build_preconditioner(
     kff = ops.kff_factor()
     cap_fact = scipy.linalg.lu_factor(d_sm.toarray() + cond.gram)
 
+    def woodbury(r3):
+        # S^{-1} r3 = K_FF^{-1} t for y = K_FF^{-1} r3, q = H^T M_FF y,
+        # s = (D_SM + gram)^{-1} q and t = M_FF y - M_FF H s
+        y = kff.solve(r3)
+        q = cond.h_t_mass(y)
+        s = scipy.linalg.lu_solve(cap_fact, q, check_finite=False)
+        t = linalg.matvec(ops.M_FF, y)
+        t -= cond.mass_h(s)
+        return t, q, s
+
     def apply_nonsym(r):
         out = np.empty_like(r)
         np.divide(r[:n_f], d_m, out=out[:n_f])
         out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
-        y = kff.solve(r[n_f + n_d :])
-        s = scipy.linalg.lu_solve(cap_fact, cond.h_t_mass(y), check_finite=False)
-        t = linalg.matvec(ops.M_FF, y)
-        t -= cond.mass_h(s)
-        out[n_f + n_d :] = kff.solve(t)
+        out[n_f + n_d :] = kff.solve(woodbury(r[n_f + n_d :])[0])
         return out
 
-    return Preconditioner("matched_nonsymmetric", n_f, n_d, apply_nonsym, symmetric_definite=False)
+    def fuse_nonsym(kkt):
+        # A P^{-1} r with one K_FF solve: the third block z3 = K_FF^{-1} t
+        # enters A only through its third block column, as K_FF z3 = t and
+        # K_FD^T z3 = H^T t = q - gram s, so the second solve cancels
+        if kkt.ops is not ops:
+            raise ValueError("the KKT system is on other operators than the preconditioner")
+        if kkt.beta != beta:
+            raise ValueError(f"the KKT system is at beta {kkt.beta}, the preconditioner at {beta}")
+
+        def product(r):
+            r = np.asarray(r, dtype=float)
+            z1 = np.divide(r[:n_f], d_m)
+            z2 = dsm_fact.solve(r[n_f : n_f + n_d])
+            t, q, s = woodbury(r[n_f + n_d :])
+            return kkt._rows(z1, z2, t, q - cond.gram @ s)
+
+        return product
+
+    return Preconditioner(
+        "matched_nonsymmetric", n_f, n_d, apply_nonsym, symmetric_definite=False, fuse_fn=fuse_nonsym
+    )
 
 
 @dataclass(eq=False)
@@ -286,19 +327,29 @@ def _require_stop(tol: float, max_it: int, b_norm: float) -> None:
         raise ValueError(f"right-hand side must be finite, got norm {b_norm}")
 
 
-def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
+def gmres(
+    apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None, apply_ap=None
+) -> KrylovResult:
     """Right-preconditioned GMRES without restarts.
 
     Solves A x = b with the Arnoldi process on A P^{-1}; right preconditioning
     keeps the recurrence residual equal to the true residual, and the method
-    terminates as soon as ||b - A x|| <= tol ||b||.  The solution is formed
-    as x = P^{-1} (V y) from the one Krylov basis V, so ``apply_p_inv`` must
-    be the same linear map at every step.  The iteration count is
-    the number of Arnoldi steps; the residual history holds the relative
-    residual after each step.
+    terminates as soon as ||b - A x|| <= tol ||b||.  Each Arnoldi step makes
+    one call of ``apply_ap``, the product A P^{-1} (by default ``apply_a``
+    after ``apply_p_inv``); a preconditioner may supply it as one operator
+    that saves work the two applies repeat.  The solution is formed as
+    x = P^{-1} (V y) from the one Krylov basis V and checked with
+    ``apply_a``, so ``apply_p_inv`` must be the same linear map at every
+    step.  The iteration count is the number of Arnoldi steps; the residual
+    history holds the relative residual after each step.
     """
     b = np.asarray(b, dtype=float)
     n = b.size
+    if apply_ap is None:
+        if apply_p_inv is None:
+            apply_ap = apply_a
+        else:
+            apply_ap = lambda q: apply_a(np.asarray(apply_p_inv(q), dtype=float))
     if apply_p_inv is None:
         apply_p_inv = lambda q: q
     if max_it is None:
@@ -343,8 +394,7 @@ def gmres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = 
     # arithmetic; verify on candidate solutions and tighten if needed.
     target = tol
     for k in range(k_max):
-        zk = np.asarray(apply_p_inv(v[:, k]), dtype=float)
-        w = np.asarray(apply_a(zk), dtype=float)
+        w = np.asarray(apply_ap(v[:, k]), dtype=float)
         if np.may_share_memory(w, v) or np.may_share_memory(w, b):
             w = w.copy()  # updated in place below; an identity returns its input
         # Classical Gram-Schmidt with one reorthogonalization pass.
@@ -574,7 +624,9 @@ def solve_kkt(
         # preconditioned runs get a generous cap never below the system size
         max_it = ops.mesh.n_dof if pc.kind == "none" else min(kkt.dim, 1000)
     if solver == "gmres":
-        result = gmres(kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it)
+        result = gmres(
+            kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it, apply_ap=pc.fused_product(kkt)
+        )
     elif solver == "minres":
         if not pc.symmetric_definite:
             raise ValueError(f"MINRES needs an SPD preconditioner, not {pc.kind}")

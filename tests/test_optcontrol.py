@@ -360,6 +360,51 @@ def test_nonsym_setup_and_apply_pin_kff_solves(monkeypatch):
         assert sum(f is kff for f in solves) == 2
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(controlled_meshes(), st.data())
+def test_nonsym_fused_product_is_kkt_after_preconditioner(mesh_and_c0, draw):
+    # A P^{-1} with one K_FF solve equals the two applies, on meshes with
+    # one interval on some edges, per-edge c0 and ybar, and small betas
+    mesh, c0 = mesh_and_c0
+    n_edges = mesh.graph.n_edges
+    ybar = np.array(draw.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_edges, max_size=n_edges)))
+    beta = 10.0 ** draw.draw(st.floats(-5.0, -2.0))
+    data = ProblemData(beta=beta, c0=c0, f=1.5, ybar=ybar)
+    ops = build_operators(mesh, data)
+    kkt = build_kkt(ops, data)
+    pc = build_preconditioner("nonsym", ops, data)
+    v = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1))).standard_normal(kkt.dim)
+    expected = kkt.apply(pc.apply(v))
+    fused = pc.fused_product(kkt)(v)
+    assert np.linalg.norm(fused - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_nonsym_gmres_makes_one_kff_solve_per_step(monkeypatch):
+    # the fused A P^{-1} solves with K_FF once per Arnoldi step; forming and
+    # checking the solution applies P^{-1} once more, with two solves
+    solves = []
+    solve = linalg.Factorization.solve
+    monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
+    data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(make_fdm_L_graph(10, n_controls=12, seed=3), 8), data)
+    kff = ops.kff_factor()
+    solves.clear()
+    result, _, _ = solve_kkt(ops, data, "gmres", "nonsym")
+    assert result.converged and result.iterations > 10
+    assert sum(f is kff for f in solves) == result.iterations + 2
+
+
+def test_fused_product_needs_the_preconditioners_operators_and_beta():
+    ops, data = tiny_star_ops(beta=1e-2)
+    pc = build_preconditioner("nonsym", ops, data)
+    with pytest.raises(ValueError, match="at beta 0.001, the preconditioner at 0.01"):
+        pc.fused_product(build_kkt(ops, replace(data, beta=1e-3)))
+    with pytest.raises(ValueError, match="other operators"):
+        pc.fused_product(build_kkt(build_operators(ops.mesh, data), data))
+    for kind in ("none", "ideal", "sym"):
+        assert build_preconditioner(kind, ops, data).fused_product(build_kkt(ops, data)) is None
+
+
 def test_condensation_without_interior_or_kirchhoff_dofs_solves():
     # one interval per edge (no interior DOF) and a two-vertex path with
     # both ends controlled (no Kirchhoff vertex), also with a single
