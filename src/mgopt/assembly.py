@@ -42,19 +42,26 @@ def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
     return arr
 
 
-def assemble_stiffness(mesh: ExtendedMesh) -> sp.csr_matrix:
-    """Stiffness matrix of the refined graph in global DOF order."""
-    et = extended_incidence(mesh)
+def assemble_stiffness(mesh: ExtendedMesh, incidence=None) -> sp.csr_matrix:
+    """Stiffness matrix of the refined graph in global DOF order.
+
+    ``incidence`` is the mesh's ``extended_incidence``, built here if not given.
+    """
+    et = extended_incidence(mesh) if incidence is None else incidence
     w = np.repeat(1.0 / mesh.h_per_edge, mesh.n_intervals)
     return (et @ sp.diags(w) @ et.T).tocsr()
 
 
-def assemble_mass(mesh: ExtendedMesh, coefficient=1.0) -> sp.csr_matrix:
-    """Mass matrix, optionally weighted by a nonnegative per-edge coefficient."""
+def assemble_mass(mesh: ExtendedMesh, coefficient=1.0, abs_incidence=None) -> sp.csr_matrix:
+    """Mass matrix, optionally weighted by a nonnegative per-edge coefficient.
+
+    ``abs_incidence`` is |E| of the mesh's ``extended_incidence``, built here
+    if not given.
+    """
     c = _per_edge(mesh, coefficient, "coefficient")
     if np.any(c < 0):
         raise ValueError("mass coefficient must be nonnegative")
-    et_abs = abs(extended_incidence(mesh))
+    et_abs = abs(extended_incidence(mesh)) if abs_incidence is None else abs_incidence
     w = np.repeat(c * mesh.h_per_edge, mesh.n_intervals)
     b = (et_abs @ sp.diags(w) @ et_abs.T).tocsr()
     return ((b + sp.diags(b.diagonal())) / 6.0).tocsr()
@@ -173,6 +180,7 @@ class FeOperators:
     ybar_vec: np.ndarray
     _kff: linalg.Factorization | None = field(default=None, repr=False)
     _condensation: VertexCondensation | None = field(default=None, repr=False)
+    _mass_diagonal: tuple | None = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -216,6 +224,13 @@ class FeOperators:
             self._condensation = condense(self)
         return self._condensation
 
+    def mass_diagonal(self) -> tuple[np.ndarray, sp.csr_matrix]:
+        """Cached D_M = diag(M_FF) and M_FD^T D_M^{-1} M_FD, which do not depend on beta."""
+        if self._mass_diagonal is None:
+            d_m = self.M_FF.diagonal()
+            self._mass_diagonal = (d_m, self.M_FD.T @ sp.diags(1.0 / d_m) @ self.M_FD)
+        return self._mass_diagonal
+
     def l2_inner(self, a, b) -> float:
         return float(np.asarray(a) @ (self.M @ np.asarray(b)))
 
@@ -251,8 +266,9 @@ class GraphFactor:
     are numbered edge by edge) and SPD on any mesh, so ``chain`` holds its
     LAPACK dpttrf factor.  W = K_II^{-1} K_IV and Z = K_II^{-1} K_ID hold
     the two end responses of every edge; ``lift`` is [[-W, Z], [I, 0]] and
-    ``s_factor`` the Cholesky-mode factor of S = K_VV - K_VI W.  A solve is
-    x_I0 = K_II^{-1} b_I, x_V = S^{-1}(b_V - K_VI x_I0), x_I = x_I0 - W x_V.
+    ``s_factor`` the Cholesky-mode factor of S = K_VV - K_VI W.  A solve
+    has two parts, the chain part x_I0 = K_II^{-1} b_I and the vertex part
+    x_V = S^{-1}(b_V - K_VI x_I0), and is x = [x_I0; 0] + lift [x_V; 0].
     """
 
     chain: tuple | None  # None when there is no interior DOF
@@ -263,14 +279,23 @@ class GraphFactor:
     def vertex_solve(self, b):
         return b if self.s_factor is None else self.s_factor.solve(b)
 
-    def solve(self, b) -> np.ndarray:
-        n_k, n_i = self.k_vi.shape
+    def parts(self, b) -> tuple[np.ndarray, np.ndarray]:
+        """The chain part x_I0 and the vertex part x_V of K_FF^{-1} b."""
+        n_i = self.k_vi.shape[1]
         x_i0 = b[:n_i] if self.chain is None else lapack.dpttrs(*self.chain, b[:n_i])[0]
-        y = np.zeros(self.lift.shape[1])  # zero on the Dirichlet columns
-        y[:n_k] = self.vertex_solve(b[n_i:] - linalg.matvec(self.k_vi, x_i0))
-        x = linalg.matvec(self.lift, y)
-        x[:n_i] += x_i0
+        return x_i0, self.vertex_solve(b[n_i:] - linalg.matvec(self.k_vi, x_i0))
+
+    def join(self, x_i0, c) -> np.ndarray:
+        """[x_I0; 0] + lift c, for c on the Kirchhoff and then the Dirichlet vertices."""
+        x = linalg.matvec(self.lift, c)
+        x[: x_i0.size] += x_i0
         return x
+
+    def solve(self, b) -> np.ndarray:
+        x_i0, x_v = self.parts(b)
+        c = np.zeros(self.lift.shape[1])  # zero on the Dirichlet columns
+        c[: x_v.size] = x_v
+        return self.join(x_i0, c)
 
 
 def factor_graph(ops: FeOperators) -> GraphFactor:
@@ -323,39 +348,37 @@ class VertexCondensation:
     """H = K_FF^{-1} K_FD condensed onto the Kirchhoff vertices, and H^T M_FF H.
 
     With the lift [Wf, Zf] and S of the graph factor and R = K_VD - K_VI Z,
-    H s = Zf s + Wf S^{-1} R s.  H is only needed next to M_FF, so
-    ``mass_lift`` keeps M_FF [Wf, Zf].  ``gram`` is H^T M_FF H =
+    H s = Zf s + Wf S^{-1} R s = lift [S^{-1} R s; s].  H meets vectors
+    y = [x_I0; 0] + lift [x_V; 0] given by the graph factor's two parts, so
+    M_FF lift is never applied: with B = lift^T M_FF lift,
+    lift^T M_FF y = (M_FF lift)^T [x_I0; 0] + B_V x_V, where ``mass_lift_t``
+    keeps the interior columns of (M_FF lift)^T and ``b_v`` the first n_K
+    columns B_V of B, both in CSR.  ``gram`` is H^T M_FF H =
     K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
-
-    The transposes are built once.  ``mass_lift.T`` is kept as a CSR copy
-    with sorted indices (about 3.6 MB at 147k DOFs): its rows sum in the
-    order of the CSC product, so ``h_t_mass`` is the same bit for bit, and
-    its kernel loops over the n_K + n_D rows instead of the n_f columns.
     """
 
-    mass_lift: sp.csr_matrix
+    mass_lift_t: sp.csr_matrix
+    b_v: sp.csr_matrix
     r: sp.csc_matrix
     kff: GraphFactor
     gram: np.ndarray
-    _lift_t_mass: sp.csr_matrix = field(init=False, repr=False)
     _r_t: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        lift_t_mass = self.mass_lift.T.tocsr()
-        lift_t_mass.sort_indices()
-        object.__setattr__(self, "_lift_t_mass", lift_t_mass)
         object.__setattr__(self, "_r_t", self.r.T)
 
-    def mass_h(self, s) -> np.ndarray:
-        """M_FF H s."""
-        y = self.kff.vertex_solve(linalg.matvec(self.r, s))
-        return linalg.matvec(self.mass_lift, np.concatenate([y, s]))
+    def h_t_mass(self, x_i0, x_v) -> np.ndarray:
+        """H^T M_FF y for y = [x_I0; 0] + lift [x_V; 0]."""
+        t = linalg.matvec(self.mass_lift_t, x_i0)
+        t += linalg.matvec(self.b_v, x_v)
+        return t[x_v.size :] + linalg.matvec(self._r_t, self.kff.vertex_solve(t[: x_v.size]))
 
-    def h_t_mass(self, v) -> np.ndarray:
-        """H^T M_FF v."""
-        t = linalg.matvec(self._lift_t_mass, v)
-        n_k = self.r.shape[0]
-        return t[n_k:] + linalg.matvec(self._r_t, self.kff.vertex_solve(t[:n_k]))
+    def minus_h(self, x_i0, x_v, s) -> np.ndarray:
+        """y - H s for y = [x_I0; 0] + lift [x_V; 0], with one lift product."""
+        c = np.empty(self.kff.lift.shape[1])
+        np.subtract(x_v, self.kff.vertex_solve(linalg.matvec(self.r, s)), out=c[: x_v.size])
+        np.negative(s, out=c[x_v.size :])
+        return self.kff.join(x_i0, c)
 
 
 def condense(ops: FeOperators) -> VertexCondensation:
@@ -369,8 +392,11 @@ def condense(ops: FeOperators) -> VertexCondensation:
     n_k, n_i = kff.k_vi.shape
     n_d = ops.n_dirichlet
     r = (ops.K_FD[n_i:] - kff.k_vi @ kff.lift[:n_i, n_k:]).tocsc()
-    cond = VertexCondensation(ops.M_FF @ kff.lift, r, kff, np.empty((n_d, n_d)))
-    b = (kff.lift.T @ cond.mass_lift).tocsc()
+    mass_lift = ops.M_FF @ kff.lift
+    b = (kff.lift.T @ mass_lift).tocsc()
+    cond = VertexCondensation(
+        mass_lift[:n_i].T.tocsr(), b[:, :n_k].tocsr(), r, kff, np.empty((n_d, n_d))
+    )
     b_vv, b_vd, b_dv, b_dd = b[:n_k, :n_k], b[:n_k, n_k:], b[n_k:, :n_k], b[n_k:, n_k:]
     for j in range(0, n_d, 64):  # two S solves per block of 64 controls
         cols = slice(j, min(j + 64, n_d))
@@ -381,9 +407,15 @@ def condense(ops: FeOperators) -> VertexCondensation:
 
 
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
-    """Assemble M, K = A + M_c0 (neither term kept), their blocks, and the loads."""
-    m = assemble_mass(mesh)
-    k = (assemble_stiffness(mesh) + assemble_mass(mesh, data.c0)).tocsr()
+    """Assemble M, K = A + M_c0 (neither term kept), their blocks, and the loads.
+
+    The three matrices share one extended incidence matrix E and one |E|;
+    each is the same to the last bit as when assembled on its own.
+    """
+    et = extended_incidence(mesh)
+    et_abs = abs(et)
+    m = assemble_mass(mesh, abs_incidence=et_abs)
+    k = (assemble_stiffness(mesh, et) + assemble_mass(mesh, data.c0, et_abs)).tocsr()
     kb = partition_blocks(k, mesh)
     mb = partition_blocks(m, mesh)
     return FeOperators(

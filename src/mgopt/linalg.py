@@ -4,7 +4,9 @@ Matrices are scipy CSR/CSC throughout.  ``factor`` makes complete SuperLU
 decompositions with fill-reducing orderings, computed once and reused.
 ``K_FF`` is not factored here: ``assembly.factor_graph`` factors it along
 the graph, and ``Factorization`` kind ``"graph"`` wraps that solver, so
-every factorization is solved through ``Factorization.solve``.  ``matvec``
+every full solve goes through ``Factorization.solve``; only the
+nonsymmetric preconditioner's Woodbury correction reads the graph
+factor's chain and vertex parts (``GraphFactor.parts``) directly.  ``matvec``
 is the one sparse matrix-vector product the Krylov loops call.
 """
 

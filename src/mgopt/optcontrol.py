@@ -74,19 +74,20 @@ class KktSystem:
 
     def apply(self, x) -> np.ndarray:
         x1, x2, x3 = self.split(np.asarray(x, dtype=float))
-        return self._rows(x1, x2, linalg.matvec(self.ops.K_FF, x3), linalg.matvec(self._k_df, x3))
+        out = self._rows(x1, x1, x2, linalg.matvec(self._k_df, x3))
+        out[: x1.size] += linalg.matvec(self.ops.K_FF, x3)
+        return out
 
-    def _rows(self, x1, x2, kff_x3, kdf_x3) -> np.ndarray:
-        """The operator at (x1, x2, x3), given the third block column's
-        products K_FF x3 and K_FD^T x3."""
+    def _rows(self, x_top, x1, x2, kdf_x3) -> np.ndarray:
+        """The operator at (x1, x2, x3) but the top row's K_FF x3, given
+        K_FD^T x3; the top row's M_FF multiplies ``x_top`` (x1 in ``apply``)."""
         # each row adds its products left to right, the order the tests hold
         # it to against the plain scipy expression, bit for bit
         ops, mv = self.ops, linalg.matvec
         nf, nd = x1.size, x2.size
         out = np.empty(2 * nf + nd)
         top, mid, low = out[:nf], out[nf : nf + nd], out[nf + nd :]
-        np.add(mv(ops.M_FF, x1), mv(ops.M_FD, x2), out=top)
-        top += kff_x3
+        np.add(mv(ops.M_FF, x_top), mv(ops.M_FD, x2), out=top)
         np.add(mv(self._m_df, x1), mv(ops.M_DD, x2), out=mid)
         mid += self.beta * x2
         mid += kdf_x3
@@ -164,14 +165,11 @@ class Preconditioner:
 
 
 def _mass_diag_schur(ops: FeOperators, beta: float):
-    """D_M = diag(M_FF) and the diagonal-based control Schur block D_SM."""
-    d_m = ops.M_FF.diagonal()
-    n_d = ops.n_dirichlet
-    d_sm = (
-        ops.M_DD
-        + beta * sp.identity(n_d, format="csr")
-        - ops.M_FD.T @ sp.diags(1.0 / d_m) @ ops.M_FD
-    ).tocsr()
+    """D_M = diag(M_FF) and the diagonal-based control Schur block
+    D_SM = M_DD + beta I - M_FD^T D_M^{-1} M_FD, whose last term is cached
+    on the operators."""
+    d_m, coupling = ops.mass_diagonal()
+    d_sm = (ops.M_DD + beta * sp.identity(ops.n_dirichlet, format="csr") - coupling).tocsr()
     bad = np.nonzero(d_sm.diagonal() <= 0)[0]
     if bad.size:
         raise ValueError(f"control Schur block has nonpositive diagonal at index {int(bad[0])}")
@@ -254,37 +252,42 @@ def build_preconditioner(
     #   S = K_FF M_FF^{-1} K_FF^T + K_FD D_SM^{-1} K_FD^T
     # applied exactly.  The second term has rank n_D, so the inverse follows
     # from the Woodbury identity around C = K_FF M_FF^{-1} K_FF^T.  With
-    # H = K_FF^{-1} K_FD, C^{-1} K_FD = K_FF^{-1} M_FF H, so an apply takes two
-    # solves with the shared K_FF factor.  H comes from the beta-independent
+    # H = K_FF^{-1} K_FD, y = K_FF^{-1} r3, q = H^T M_FF y and
+    # s = (D_SM + H^T M_FF H)^{-1} q, S^{-1} r3 = K_FF^{-1} M_FF (y - H s).
+    # y is kept as the graph factor's two parts, so y - H s is one lift
+    # product (``VertexCondensation``); H comes from the beta-independent
     # vertex condensation cached on the operators (``assembly.condense``).
     # A matched-product surrogate (K_FF + N1) M_FF^{-1} (K_FF^T + N2)
     # overshoots S by O(h^-2) on n_D directions and loses both beta- and
     # mesh-robustness, so the exact low-rank form is used instead.
     cond = ops.condensation()
     kff = ops.kff_factor()
-    cap_fact = scipy.linalg.lu_factor(d_sm.toarray() + cond.gram)
+    try:
+        cap_fact = scipy.linalg.cho_factor(d_sm.toarray() + cond.gram, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"capacitance matrix D_SM + H^T M_FF H is not positive definite: {exc}"
+        ) from exc
 
     def woodbury(r3):
-        # S^{-1} r3 = K_FF^{-1} t for y = K_FF^{-1} r3, q = H^T M_FF y,
-        # s = (D_SM + gram)^{-1} q and t = M_FF y - M_FF H s
-        y = kff.solve(r3)
-        q = cond.h_t_mass(y)
-        s = scipy.linalg.lu_solve(cap_fact, q, check_finite=False)
-        t = linalg.matvec(ops.M_FF, y)
-        t -= cond.mass_h(s)
-        return t, q, s
+        # u = y - H s, q and s
+        x_i0, x_v = cond.kff.parts(r3)
+        q = cond.h_t_mass(x_i0, x_v)
+        s = scipy.linalg.cho_solve(cap_fact, q, check_finite=False)
+        return cond.minus_h(x_i0, x_v, s), q, s
 
     def apply_nonsym(r):
         out = np.empty_like(r)
         np.divide(r[:n_f], d_m, out=out[:n_f])
         out[n_f : n_f + n_d] = dsm_fact.solve(r[n_f : n_f + n_d])
-        out[n_f + n_d :] = kff.solve(woodbury(r[n_f + n_d :])[0])
+        out[n_f + n_d :] = kff.solve(linalg.matvec(ops.M_FF, woodbury(r[n_f + n_d :])[0]))
         return out
 
     def fuse_nonsym(kkt):
-        # A P^{-1} r with one K_FF solve: the third block z3 = K_FF^{-1} t
-        # enters A only through its third block column, as K_FF z3 = t and
-        # K_FD^T z3 = H^T t = q - gram s, so the second solve cancels
+        # A P^{-1} r with one K_FF solve: the third block z3 = K_FF^{-1} M_FF u
+        # enters A only through its third block column, as K_FF z3 = M_FF u,
+        # which joins M_FF z1 in the top row, and K_FD^T z3 = H^T M_FF u =
+        # q - gram s, so the second solve cancels
         if kkt.ops is not ops:
             raise ValueError("the KKT system is on other operators than the preconditioner")
         if kkt.beta != beta:
@@ -294,8 +297,10 @@ def build_preconditioner(
             r = np.asarray(r, dtype=float)
             z1 = np.divide(r[:n_f], d_m)
             z2 = dsm_fact.solve(r[n_f : n_f + n_d])
-            t, q, s = woodbury(r[n_f + n_d :])
-            return kkt._rows(z1, z2, t, q - cond.gram @ s)
+            u, q, s = woodbury(r[n_f + n_d :])
+            u += z1  # not z1 += u: the K_FF z1 row needs z1 as P^{-1} gives it
+            q -= cond.gram @ s
+            return kkt._rows(u, z1, z2, q)
 
         return product
 

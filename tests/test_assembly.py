@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgopt.assembly import (
     ProblemData,
@@ -193,6 +194,36 @@ def test_formula_matches_elementwise_assembly(mesh_and_c0):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
+@given(nonuniform_meshes(), st.data())
+def test_build_operators_equals_separately_assembled_operators_bit_for_bit(mesh_and_c0, draw):
+    # one incidence matrix for M, A and M_c0 gives every array that each
+    # assembly building its own incidence matrix gives, with per-edge c0 and
+    # sampled or per-edge loads
+    mesh, c0 = mesh_and_c0
+    n_edges = mesh.graph.n_edges
+    values = st.lists(st.floats(-2.0, 2.0), min_size=2 * n_edges, max_size=2 * n_edges)
+    a, b = np.array(draw.draw(values)).reshape(2, -1)
+    sampler = lambda e, x: a[e] + b[e] * np.sin(x)
+    f = draw.draw(st.sampled_from([1.5, sampler]))
+    ybar = draw.draw(st.sampled_from([a, sampler, -0.5]))
+    data = ProblemData(beta=1.0, c0=c0, f=f, ybar=ybar)
+    ops = build_operators(mesh, data)
+    m = assemble_mass(mesh)
+    k = (assemble_stiffness(mesh) + assemble_mass(mesh, c0)).tocsr()
+    kb, mb = partition_blocks(k, mesh), partition_blocks(m, mesh)
+    expected = {
+        "M": m, "K": k, "K_FF": kb.ff, "K_FD": kb.fd, "M_FF": mb.ff, "M_FD": mb.fd, "M_DD": mb.dd
+    }
+    for name, mat in expected.items():
+        got = getattr(ops, name)
+        assert got.format == mat.format, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, part), getattr(mat, part)), (name, part)
+    assert np.array_equal(ops.f_vec, assemble_load(mesh, f, m))
+    assert np.array_equal(ops.ybar_vec, assemble_load(mesh, ybar, m))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(controlled_meshes())
 def test_condensation_matches_harmonic_extension_and_dense_gram(mesh_and_c0):
     # H = K_FF^{-1} K_FD from the vertex condensation, which keeps it next to
@@ -204,14 +235,19 @@ def test_condensation_matches_harmonic_extension_and_dense_gram(mesh_and_c0):
     ops = build_operators(mesh, ProblemData(beta=1.0, c0=c0))
     cond = ops.condensation()
     n_f, n_d = ops.n_free, ops.n_dirichlet
+    n_i = mesh.n_interior
     controls = np.eye(n_d)
-    mass_h = np.column_stack([cond.mass_h(e) for e in controls])
+    # H s is -(y - H s) at y = 0
+    zero_i, zero_v = np.zeros(n_i), np.zeros(n_f - n_i)
+    mass_h = ops.M_FF @ np.column_stack([-cond.minus_h(zero_i, zero_v, e) for e in controls])
     extension = np.column_stack([solve_state(ops, e).y.values[:n_f] for e in controls])
     expected_mass_h = -(ops.M_FF @ extension)
     assert np.linalg.norm(mass_h - expected_mass_h) <= 1e-11 * np.linalg.norm(expected_mass_h)
-    v = np.random.default_rng(n_f).standard_normal(n_f)
-    scale = np.linalg.norm(mass_h) * np.linalg.norm(v)
-    assert np.linalg.norm(cond.h_t_mass(v) - mass_h.T @ v) <= 1e-11 * scale
+    # H^T M_FF y for y = K_FF^{-1} b, given as the graph factor's two parts
+    b = np.random.default_rng(n_f).standard_normal(n_f)
+    y = cond.kff.solve(b)
+    scale = np.linalg.norm(mass_h) * np.linalg.norm(y)
+    assert np.linalg.norm(cond.h_t_mass(*cond.kff.parts(b)) - mass_h.T @ y) <= 1e-11 * scale
     k_ff, m_ff, k_fd = ops.K_FF.toarray(), ops.M_FF.toarray(), ops.K_FD.toarray()
     expected = k_fd.T @ np.linalg.solve(k_ff, m_ff @ np.linalg.solve(k_ff, k_fd))
     assert np.linalg.norm(cond.gram - expected) <= 1e-11 * np.linalg.norm(expected)

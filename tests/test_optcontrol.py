@@ -11,6 +11,7 @@ from dataclasses import replace
 
 from mgopt import linalg, optcontrol
 from mgopt.assembly import (
+    GraphFactor,
     ProblemData,
     SingularOperatorError,
     build_operators,
@@ -218,7 +219,8 @@ def _applies_as_scipy_expressions(ops, beta):
     g = linalg.factor((ops.K_FF + sp.diags(np.sqrt(d_kdk * d_m))).tocsc(), "cholesky")
     cond = ops.condensation()
     gf = cond.kff
-    cap = scipy.linalg.lu_factor(d_sm.toarray() + cond.gram)
+    n_k, n_i = gf.k_vi.shape
+    cap = scipy.linalg.cho_factor(d_sm.toarray() + cond.gram)
 
     def kkt(x):
         x1, x2, x3 = x[:n_f], x[n_f : n_f + n_d], x[n_f + n_d :]
@@ -228,22 +230,18 @@ def _applies_as_scipy_expressions(ops, beta):
             ops.K_FF @ x1 + ops.K_FD @ x2,
         ])
 
-    def kff_solve(b):
-        n_k, n_i = gf.k_vi.shape
+    def kff_parts(b):
         x_i0 = scipy.linalg.lapack.dpttrs(*gf.chain, b[:n_i])[0]
-        y = np.zeros(gf.lift.shape[1])
-        y[:n_k] = gf.vertex_solve(b[n_i:] - gf.k_vi @ x_i0)
-        x = gf.lift @ y
+        return x_i0, gf.vertex_solve(b[n_i:] - gf.k_vi @ x_i0)
+
+    def join(x_i0, c):
+        x = gf.lift @ c
         x[:n_i] += x_i0
         return x
 
-    def h_t_mass(v):
-        t = cond.mass_lift.T @ v
-        n_k = cond.r.shape[0]
-        return t[n_k:] + cond.r.T @ gf.vertex_solve(t[:n_k])
-
-    def mass_h(s):
-        return cond.mass_lift @ np.concatenate([gf.vertex_solve(cond.r @ s), s])
+    def kff_solve(b):
+        x_i0, x_v = kff_parts(b)
+        return join(x_i0, np.concatenate([x_v, np.zeros(n_d)]))
 
     def head(r):
         return [r[:n_f] / d_m, dsm.solve(r[n_f : n_f + n_d])]
@@ -252,9 +250,13 @@ def _applies_as_scipy_expressions(ops, beta):
         return np.concatenate(head(r) + [g.solve(d_m * g.solve(r[n_f + n_d :]))])
 
     def nonsym(r):
-        y = kff_solve(r[n_f + n_d :])
-        s = scipy.linalg.lu_solve(cap, h_t_mass(y))
-        return np.concatenate(head(r) + [kff_solve(ops.M_FF @ y - mass_h(s))])
+        # u = y - H s for y = K_FF^{-1} r3 = [x_I0; 0] + lift [x_V; 0],
+        # s = (D_SM + gram)^{-1} H^T M_FF y
+        x_i0, x_v = kff_parts(r[n_f + n_d :])
+        t = cond.mass_lift_t @ x_i0 + cond.b_v @ x_v
+        s = scipy.linalg.cho_solve(cap, t[n_k:] + cond.r.T @ gf.vertex_solve(t[:n_k]))
+        u = join(x_i0, np.concatenate([x_v - gf.vertex_solve(cond.r @ s), -s]))
+        return np.concatenate(head(r) + [kff_solve(ops.M_FF @ u)])
 
     return kkt, sym, nonsym
 
@@ -273,6 +275,28 @@ def test_applies_match_scipy_expressions_bit_for_bit():
         assert np.array_equal(kkt.apply(x), ref_kkt(x))
         for kind, ref in (("sym", ref_sym), ("nonsym", ref_nonsym)):
             assert np.array_equal(build_preconditioner(kind, ops, data).apply(x), ref(x))
+
+
+def test_cached_control_schur_block_equals_uncached_expression_bit_for_bit():
+    data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(make_fdm_L_graph(10, n_controls=12, seed=3), 8), data)
+    d_m = ops.M_FF.diagonal()
+    coupling = ops.M_FD.T @ sp.diags(1.0 / d_m) @ ops.M_FD
+    for beta in (1e-2, 1e-3, 1e-4, 1e-5):
+        expected = (ops.M_DD + beta * sp.identity(ops.n_dirichlet, format="csr") - coupling).tocsr()
+        got_d_m, d_sm = optcontrol._mass_diag_schur(ops, beta)
+        assert np.array_equal(got_d_m, d_m)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(d_sm, part), getattr(expected, part))
+    assert ops.mass_diagonal() is ops.mass_diagonal()
+
+
+def test_nonsym_rejects_capacitance_matrix_not_positive_definite():
+    ops, data = tiny_star_ops(beta=1e-2)
+    cond = ops.condensation()
+    bad = replace(cond, gram=-(1.0 + np.abs(cond.gram).max()) * np.eye(ops.n_dirichlet))
+    with pytest.raises(ValueError, match="capacitance matrix .* not positive definite"):
+        build_preconditioner("nonsym", replace(ops, _condensation=bad), data)
 
 
 def test_nonsym_schur_block_matches_dense_inverse():
@@ -331,13 +355,20 @@ def test_nonsym_preconditioner_reuses_mesh_blocks_bit_identically(monkeypatch):
     assert np.array_equal(pc_warm.apply(r), pc_fresh.apply(r))
 
 
+def count_chain_solves(monkeypatch):
+    """The graph factors whose ``parts`` (a K_FF solve's chain and vertex
+    parts) ran, one entry per call, from now on."""
+    solves = []
+    parts = GraphFactor.parts
+    monkeypatch.setattr(GraphFactor, "parts", lambda f, b: solves.append(f) or parts(f, b))
+    return solves
+
+
 def test_nonsym_setup_and_apply_pin_kff_solves(monkeypatch):
     # the setup makes no K_FF solve and the apply exactly two, for few and for
     # many controls; the traced peak of the graph factor and the condensation
     # does not grow with n_D
-    solves = []
-    solve = linalg.Factorization.solve
-    monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
+    solves = count_chain_solves(monkeypatch)
     for n_controls in (3, 81):
         g = make_fdm_L_graph(12, n_controls=n_controls, seed=4)
         ops = build_operators(build_mesh(g, 40), ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0))
@@ -345,7 +376,7 @@ def test_nonsym_setup_and_apply_pin_kff_solves(monkeypatch):
         assert n_d == n_controls
         solves.clear()
         tracemalloc.start()
-        kff = ops.kff_factor()
+        kff = ops.kff_factor()._lu
         ops.condensation()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -379,15 +410,32 @@ def test_nonsym_fused_product_is_kkt_after_preconditioner(mesh_and_c0, draw):
     assert np.linalg.norm(fused - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize(
+    "graph, n_e",
+    [
+        pytest.param(make_path(2), 1, id="no-free-dof"),
+        pytest.param(make_fdm_L_graph(6, n_controls=5, seed=2), 1, id="no-interior-dof"),
+        pytest.param(make_path(2), 4, id="no-kirchhoff-vertex"),
+        pytest.param(make_path(2), 2, id="one-interior-dof"),
+    ],
+)
+def test_nonsym_fused_product_on_degenerate_shapes(graph, n_e):
+    data = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(graph, n_e), data)
+    kkt = build_kkt(ops, data)
+    pc = build_preconditioner("nonsym", ops, data)
+    v = np.random.default_rng(n_e).standard_normal(kkt.dim)
+    expected = kkt.apply(pc.apply(v))
+    assert np.linalg.norm(pc.fused_product(kkt)(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_nonsym_gmres_makes_one_kff_solve_per_step(monkeypatch):
     # the fused A P^{-1} solves with K_FF once per Arnoldi step; forming and
     # checking the solution applies P^{-1} once more, with two solves
-    solves = []
-    solve = linalg.Factorization.solve
-    monkeypatch.setattr(linalg.Factorization, "solve", lambda f, b: solves.append(f) or solve(f, b))
+    solves = count_chain_solves(monkeypatch)
     data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
     ops = build_operators(build_mesh(make_fdm_L_graph(10, n_controls=12, seed=3), 8), data)
-    kff = ops.kff_factor()
+    kff = ops.kff_factor()._lu
     solves.clear()
     result, _, _ = solve_kkt(ops, data, "gmres", "nonsym")
     assert result.converged and result.iterations > 10
