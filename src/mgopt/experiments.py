@@ -325,7 +325,7 @@ class EigProbeResult:
                     writer.writerow([kind, f"{beta:g}", f"{lam.real:.12e}", f"{lam.imag:.12e}"])
 
 
-def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
+def eig_probe(cfg: StudyConfig) -> EigProbeResult:
     """Spectra of the preconditioned KKT operator and of the preconditioned
     mass block, per beta, on one mesh at dense-probe scale."""
     if len(cfg.ne_values) != 1:
@@ -339,7 +339,7 @@ def eig_probe(cfg: StudyConfig, kinds=PRECONDITIONER_KINDS) -> EigProbeResult:
         kkt = build_kkt(ops, data)
         dense = kkt.as_dense()
         dim = dense.shape[0]
-        for kind in kinds:
+        for kind in PRECONDITIONER_KINDS:
             pc = build_preconditioner(kind, ops, data)
             if pc.kind == "none":
                 mat = dense

@@ -139,17 +139,16 @@ class Preconditioner:
     """Block-diagonal approximate inverse of the KKT operator.
 
     ``apply`` maps a residual to the preconditioned residual; inner solves are
-    prefactored once at construction.  ``symmetric_definite`` marks the kinds
-    admissible for MINRES.
+    prefactored once at construction.  Every kind applies an SPD operator, so
+    every kind serves both GMRES and MINRES.
     """
 
-    def __init__(self, kind, n_f, n_d, apply_fn, symmetric_definite, fuse_fn=None):
+    def __init__(self, kind, n_f, n_d, apply_fn, fuse_fn=None):
         self.kind = kind
         self.n_f = n_f
         self.n_d = n_d
         self._apply = apply_fn
         self._fuse = fuse_fn
-        self.symmetric_definite = symmetric_definite
 
     def apply(self, r) -> np.ndarray:
         return self._apply(np.asarray(r, dtype=float))
@@ -183,18 +182,22 @@ def build_preconditioner(
 
     Kinds: ``none`` (identity), ``ideal`` (exact mass block and exact dense
     Schur complement, size-capped diagnostic), ``matched_symmetric``
-    (diagonal mass approximations and the lumped-square-root matching term N,
-    SPD and usable with MINRES) and ``matched_nonsymmetric`` (the
-    GMRES-oriented Schur approximation with the full M_FF, applied exactly
-    through its low-rank structure).  c0, f and ybar must be those ``ops`` was
-    assembled with (ValueError otherwise).
+    (diagonal mass approximations and the lumped-square-root matching term N)
+    and ``matched_nonsymmetric`` (the Schur approximation the paper pairs with
+    GMRES, with the full M_FF, applied exactly through its low-rank
+    structure).  Each applies an SPD operator, for GMRES and MINRES alike;
+    each factor in it is checked positive definite at setup (ValueError
+    otherwise).  ``matched_symmetric`` raises ValueError where its lumped
+    matching diagonal goes negative, as once c0·h² > 6 on some edges next to
+    a control (K_FD's entry -1/h + c0·h/6 changes sign).  c0, f and ybar
+    must be those ``ops`` was assembled with (ValueError otherwise).
     """
     kind = normalize_precon_kind(kind)
     _require_assembled_data(ops, data)
     n_f, n_d = ops.n_free, ops.n_dirichlet
     beta = data.beta
     if kind == "none":
-        return Preconditioner("none", n_f, n_d, lambda r: r, symmetric_definite=True)
+        return Preconditioner("none", n_f, n_d, lambda r: r)
     if n_d == 0:
         raise ValueError(f"{kind} preconditioner needs at least one Dirichlet node")
 
@@ -218,7 +221,7 @@ def build_preconditioner(
             out[n_f + n_d :] = scipy.linalg.cho_solve(s_fact, r[n_f + n_d :])
             return out
 
-        return Preconditioner("ideal", n_f, n_d, apply_ideal, symmetric_definite=True)
+        return Preconditioner("ideal", n_f, n_d, apply_ideal)
 
     d_m, d_sm = _mass_diag_schur(ops, beta)
     dsm_fact = linalg.factor(d_sm.tocsc(), "cholesky")
@@ -246,14 +249,15 @@ def build_preconditioner(
             out[n_f + n_d :] = g_fact.solve(d_m * g_fact.solve(r[n_f + n_d :]))
             return out
 
-        return Preconditioner("matched_symmetric", n_f, n_d, apply_sym, symmetric_definite=True)
+        return Preconditioner("matched_symmetric", n_f, n_d, apply_sym)
 
-    # matched_nonsymmetric: the GMRES-oriented Schur approximation
+    # matched_nonsymmetric: the Schur approximation the paper pairs with GMRES
     #   S = K_FF M_FF^{-1} K_FF^T + K_FD D_SM^{-1} K_FD^T
-    # applied exactly.  The second term has rank n_D, so the inverse follows
-    # from the Woodbury identity around C = K_FF M_FF^{-1} K_FF^T.  With
-    # H = K_FF^{-1} K_FD, y = K_FF^{-1} r3, q = H^T M_FF y and
-    # s = (D_SM + H^T M_FF H)^{-1} q, S^{-1} r3 = K_FF^{-1} M_FF (y - H s).
+    # applied exactly, so blkdiag(D_M, D_SM, S)^{-1} is SPD.  The second term
+    # has rank n_D, so the inverse follows from the Woodbury identity around
+    # C = K_FF M_FF^{-1} K_FF^T.  With H = K_FF^{-1} K_FD, y = K_FF^{-1} r3,
+    # q = H^T M_FF y and s = (D_SM + H^T M_FF H)^{-1} q,
+    # S^{-1} r3 = K_FF^{-1} M_FF (y - H s).
     # y is kept as the graph factor's two parts, so y - H s is one lift
     # product (``VertexCondensation``); H comes from the beta-independent
     # vertex condensation cached on the operators (``assembly.condense``).
@@ -304,9 +308,7 @@ def build_preconditioner(
 
         return product
 
-    return Preconditioner(
-        "matched_nonsymmetric", n_f, n_d, apply_nonsym, symmetric_definite=False, fuse_fn=fuse_nonsym
-    )
+    return Preconditioner("matched_nonsymmetric", n_f, n_d, apply_nonsym, fuse_fn=fuse_nonsym)
 
 
 @dataclass(eq=False)
@@ -444,8 +446,6 @@ def gmres(
             if breakdown:
                 break
             target = min(target, rel) / 4.0
-        if breakdown:
-            break
         np.divide(w, h_next, out=v[:, k + 1])
 
     if not converged:
@@ -633,8 +633,6 @@ def solve_kkt(
             kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it, apply_ap=pc.fused_product(kkt)
         )
     elif solver == "minres":
-        if not pc.symmetric_definite:
-            raise ValueError(f"MINRES needs an SPD preconditioner, not {pc.kind}")
         result = minres(kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it)
     else:
         raise ValueError(f"unknown solver {solver!r}")

@@ -41,6 +41,13 @@ def test_solve_minres_path(capsys):
     assert "stop_residual=" in out
 
 
+def test_solve_minres_with_the_default_preconditioner(capsys):
+    # the default --precon is nonsym, whose block is SPD, so MINRES takes it
+    assert cli_main(["solve", "--graph", "star:3", "--ne", "8", "--solver", "minres"]) == 0
+    out = capsys.readouterr().out
+    assert "converged=True" in out
+
+
 def test_solve_memory_error_is_reported(capsys, monkeypatch):
     # a Krylov basis too large to allocate; raised, not allocated for real
     def out_of_memory(*args, **kwargs):

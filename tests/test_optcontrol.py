@@ -489,8 +489,7 @@ def test_floating_component_raises_singular_operator_for_every_precon():
     for n_e in (2, 7):
         ops = build_operators(build_mesh(g, n_e), ProblemData(beta=1e-2, c0=0.0, f=1.0, ybar=1.0))
         for kind in PRECONDITIONER_KINDS:
-            solvers = ("gmres",) if kind == "matched_nonsymmetric" else ("gmres", "minres")
-            for solver in solvers:
+            for solver in ("gmres", "minres"):
                 with pytest.raises(SingularOperatorError, match=r"vertices \[3, 4, 5\]"):
                     solve_kkt(ops, ops.data, solver=solver, precon=kind)
 
@@ -712,12 +711,15 @@ def test_minres_matches_conjugate_residual_oracle():
 
 
 def test_minres_agrees_with_gmres_on_kkt():
+    # every kind is SPD, so MINRES takes each of them
     ops, data = tiny_star_ops(leaves=3, n_e=4)
     res_g, kkt, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym", tol=1e-10)
-    res_m, _, _ = solve_kkt(ops, data, solver="minres", precon="sym", tol=1e-10)
-    assert res_g.converged and res_m.converged
-    diff = np.linalg.norm(res_g.x - res_m.x) / np.linalg.norm(res_g.x)
-    assert diff <= 1e-6
+    assert res_g.converged
+    for kind in PRECONDITIONER_KINDS:
+        res_m, _, _ = solve_kkt(ops, data, solver="minres", precon=kind, tol=1e-10)
+        assert res_m.converged
+        diff = np.linalg.norm(res_g.x - res_m.x) / np.linalg.norm(res_g.x)
+        assert diff <= 1e-6
 
 
 def test_stop_residual_is_the_norm_each_solver_stops_on():
@@ -737,9 +739,63 @@ def test_stop_residual_is_the_norm_each_solver_stops_on():
 
 
 def test_minres_requires_spd_preconditioner():
+    # every kind is SPD, so the guard that remains is MINRES's own check of
+    # r . P^{-1} r, here on the nonsymmetric block with its sign flipped
     ops, data = tiny_star_ops()
-    with pytest.raises(ValueError, match="SPD"):
-        solve_kkt(ops, data, solver="minres", precon="nonsym")
+    kkt = build_kkt(ops, data)
+    pc = build_preconditioner("nonsym", ops, data)
+    with pytest.raises(ValueError, match="preconditioner is not positive definite"):
+        minres(kkt.apply, kkt.rhs, lambda r: -pc.apply(r))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(controlled_meshes(), st.floats(-5.0, 0.0), st.integers(0, 2**32 - 1))
+def test_every_preconditioner_kind_is_spd(mesh_and_c0, log_beta, seed):
+    # MINRES needs <a, P b> = <b, P a> and <a, P a> > 0 for the map P that
+    # ``apply`` computes; matched_symmetric may refuse a mesh at setup
+    mesh, c0 = mesh_and_c0
+    data = ProblemData(beta=10.0**log_beta, c0=c0, f=1.5, ybar=1.0)
+    ops = build_operators(mesh, data)
+    a, b = np.random.default_rng(seed).standard_normal((2, 2 * ops.n_free + ops.n_dirichlet))
+    for kind in PRECONDITIONER_KINDS:
+        try:
+            pc = build_preconditioner(kind, ops, data)
+        except ValueError as exc:
+            refused = "lumped Schur matching diagonal has negative entries"
+            if kind == "matched_symmetric" and refused in str(exc):
+                continue
+            raise
+        apa = a @ pc.apply(a)
+        assert apa > 0.0
+        assert abs(a @ pc.apply(b) - b @ pc.apply(a)) <= 1e-12 * apa
+
+
+def test_minres_with_nonsym_where_sym_refuses():
+    # spokes of 5, 4 and 3 at a controlled centre, c0 = 1, two intervals per
+    # edge: c0 h^2 = 6.25 > 6 on the longest spoke turns its K_FD entry
+    # -1/h + c0 h/6 positive, and the lumped diagonal of sym goes negative
+    g = MetricGraph(4, ((0, 1), (0, 2), (0, 3)), np.array([5.0, 4.0, 3.0]), (0,))
+    data = ProblemData(beta=1e-2, c0=1.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(g, 2), data)
+    with pytest.raises(ValueError, match="lumped Schur matching diagonal has negative entries"):
+        build_preconditioner("sym", ops, data)
+    sol = solve_ocp(g, 2, data, solver="minres", precon="nonsym", tol=1e-10)
+    u_oracle = reduced_oracle(g, 2, data)
+    assert sol.stats.converged
+    assert np.linalg.norm(sol.u - u_oracle) <= 1e-12 * np.linalg.norm(u_oracle)
+
+
+def test_minres_with_nonsym_on_a_fine_mesh():
+    # the benchmark's MINRES problem (fdmL:20, 40 controls, ne 128, 71,420
+    # DOFs): the exact Schur block takes 22 steps where sym takes 260
+    g = make_fdm_L_graph(20, n_controls=40, seed=0)
+    data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
+    ops = build_operators(build_mesh(g, 128), data)
+    res_m, kkt, _ = solve_kkt(ops, data, solver="minres", precon="nonsym")
+    res_g, _, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym")
+    assert res_m.converged and res_m.iterations <= 24
+    u_m, u_g = kkt.split(res_m.x)[1], kkt.split(res_g.x)[1]
+    assert np.linalg.norm(u_m - u_g) <= 1e-6 * np.linalg.norm(u_g)
 
 
 def test_solve_kkt_unknown_solver():
@@ -854,22 +910,25 @@ def test_solve_ocp_matches_reduced_oracle():
         checked += 1
 
 
+@pytest.mark.parametrize("solver, precon", [("gmres", "nonsym"), ("minres", "nonsym")])
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(controlled_meshes(), st.floats(1e-3, 1.0))
-def test_solve_ocp_matches_reduced_oracle_on_random_graphs(mesh_and_c0, beta):
-    # criterion 3 as a property: GMRES with the nonsymmetric preconditioner
-    # gives the dense reduced oracle's control, also with edges between two
-    # controls and with c0 = 0; the drawn graph is meshed uniformly with the
-    # interval count of its first edge.  As in criterion 3 the solve asks for
-    # 1e-10, which rounding can keep out of reach on tiny meshes of short
-    # edges (2 edges of length 0.05, c0 = 0: 1.6e-10 after all 9 steps), so
-    # the true residual is held to the paper's 1e-8
+def test_solve_ocp_matches_reduced_oracle_on_random_graphs(solver, precon, mesh_and_c0, beta):
+    # criterion 3 as a property: both Krylov methods with the nonsymmetric
+    # preconditioner give the dense reduced oracle's control, also with edges
+    # between two controls and with c0 = 0; the drawn graph is meshed
+    # uniformly with the interval count of its first edge.  As in criterion 3
+    # the solve asks for 1e-10, which rounding can keep out of reach on tiny
+    # meshes of short edges (2 edges of length 0.05, c0 = 0: 1.6e-10 after all
+    # 9 steps), so GMRES's true residual is held to the paper's 1e-8.  MINRES
+    # stops on the preconditioned residual, so only its control is held.
     mesh, c0 = mesh_and_c0
     g, n_e = mesh.graph, int(mesh.n_intervals[0])
     data = ProblemData(beta=beta, c0=c0, f=1.5, ybar=1.0)
     u_oracle = reduced_oracle(g, n_e, data)
-    sol = solve_ocp(g, n_e, data, solver="gmres", precon="nonsym", tol=1e-10)
-    assert sol.stats.residual <= 1e-8
+    sol = solve_ocp(g, n_e, data, solver=solver, precon=precon, tol=1e-10)
+    if solver == "gmres":
+        assert sol.stats.residual <= 1e-8
     assert np.linalg.norm(sol.u - u_oracle) <= 1e-7 * (1.0 + np.linalg.norm(u_oracle))
 
 
