@@ -13,7 +13,6 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     build_operators,
-    partition_blocks,
 )
 from .graphs import (
     DIRICHLET,

@@ -1,14 +1,22 @@
-"""Assembly of the FE operators on extended meshes and their block partition.
+"""Assembly of the P1 operators on extended meshes, edge by edge, and their blocks.
 
-The stiffness matrix is built from the extended incidence matrix as
-E W_E E^T with W_E = blkdiag{(1/h_e) I}, the mass matrix from its absolute
-value as (|E| W |E|^T + its diagonal)/6 with W = blkdiag{h_e I}; a per-edge
-coefficient in the interval weights yields the potential mass matrix.
+Every interval of an edge has the same length h_e, so an operator is given
+by a few numbers per edge and per vertex: the stiffness matrix by the weight
+1/h_e, a mass matrix with coefficient c by c_e h_e (its entries times 1/6).
+All operators share one sparse pattern per mesh (``_Pattern``): an interior
+DOF's row holds itself and its two neighbours on its edge, a vertex's row
+holds itself and the DOF next to it on every incident edge.
+``build_operators`` forms K = A + M_c0 entry by entry on that pattern and
+cuts the free/Dirichlet blocks out of it along the edge chains, with no
+sparse product, slice or format conversion.
+
+The graph factor of K_FF eliminates every edge's interior DOFs (Kron
+reduction onto the vertices), and the vertex condensation of K_FF^{-1} K_FD
+is formed the same way: both come from each edge's two end responses.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,20 +25,16 @@ from scipy.linalg import lapack
 from scipy.sparse import csgraph
 
 from . import linalg
-from .mesh import (
-    ExtendedMesh,
-    extended_incidence,
-    interval_end_dofs,
-    interval_samples,
-    nodal_values,
-)
+from .mesh import ExtendedMesh, interval_end_dofs, interval_samples, nodal_values
+from .mesh import extended_incidence  # noqa: F401  (mgbench traces this module attribute)
+
+# A mass matrix's entries are its weights times 1/6: a multiplication by the
+# reciprocal, as scipy's sparse ``/ 6.0`` did, for the same last bits.
+_SIXTH = 1.0 / 6.0
 
 
 class SingularOperatorError(ValueError):
     """The free-node system matrix is not invertible (no coercivity)."""
-
-
-Blocks = namedtuple("Blocks", ["ff", "fd", "dd"])
 
 
 def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
@@ -42,29 +46,195 @@ def _per_edge(mesh: ExtendedMesh, value, name: str) -> np.ndarray:
     return arr
 
 
-def assemble_stiffness(mesh: ExtendedMesh, incidence=None) -> sp.csr_matrix:
+def _edge_chains(mesh: ExtendedMesh):
+    """Per edge, the DOFs of its tail and head vertex (n_edges x 2) and its
+    number of interior DOFs; the edges that have interior DOFs, and the first
+    and last of those DOFs on each."""
+    count = mesh.n_intervals - 1
+    inner = np.flatnonzero(count)
+    first, last = mesh.interior_offsets[inner], mesh.interior_offsets[inner + 1] - 1
+    return mesh.end_dofs, count, inner, first, last
+
+
+class _Pattern:
+    """CSR storage of every P1 operator on one mesh, in DOF order.
+
+    Row d of an interior DOF holds [d, right, left]: its diagonal, then its
+    neighbours on its edge towards the head and the tail.  A vertex row
+    holds one neighbour per incident edge, the DOF next to the vertex on
+    that edge, taken from the highest end interval down, and the vertex's
+    diagonal, placed before or after the first neighbour by which DOF is
+    lower.  An isolated vertex has an empty row.
+
+    This is the order in which a row's entries first appear when its
+    intervals are walked from the highest interval index down, each interval
+    giving its lower DOF first; a vertex's diagonal sums its intervals'
+    weights in that same order.  Both are what the incidence-matrix products
+    E W E^T and (|E| W |E|^T + diag)/6 gave, and must stay so: the scalar
+    loads M @ g follow the summation order of M's rows, and the MINRES
+    counts and the unpreconditioned GMRES counts follow the last bits of K,
+    M and the loads (sorting M's columns moves 75 to 155 vertex entries of
+    ``ybar_vec`` on the benchmark meshes).
+    """
+
+    def __init__(self, mesh: ExtendedMesh):
+        n_i, n = mesh.n_interior, mesh.n_dof
+        n_v, n_edges = n - n_i, mesh.graph.n_edges
+        ends, self.count, inner, first, last = _edge_chains(mesh)
+        degree = np.bincount(ends.ravel() - n_i, minlength=n_v)
+        length = degree + (degree > 0)
+        self.indices = np.empty(3 * n_i + length.sum(), dtype=np.int32)
+        self.indptr = np.empty(n + 1, dtype=np.int32)
+        self.indptr[: n_i + 1] = np.arange(0, 3 * n_i + 1, 3, dtype=np.int32)
+        np.cumsum(length, out=self.indptr[n_i + 1 :])
+        self.indptr[n_i + 1 :] += 3 * n_i
+        rows = self.indices[: 3 * n_i].reshape(-1, 3)
+        rows[:, 0] = np.arange(n_i, dtype=np.int32)
+        np.add(rows[:, 0], 1, out=rows[:, 1])
+        np.subtract(rows[:, 0], 1, out=rows[:, 2])
+        rows[first, 2] = ends[inner, 0]
+        rows[last, 1] = ends[inner, 1]
+        # every edge end, tails then heads: its vertex's row, the neighbour
+        # DOF on the edge, and the interval at that end
+        vertex = ends.T.ravel()
+        beside = np.concatenate((mesh.interior_offsets[:-1], mesh.interior_offsets[1:] - 1))
+        nbr = np.where(np.tile(self.count > 0, 2), beside, ends[:, ::-1].T.ravel())
+        interval = np.concatenate((mesh.interval_offsets[:-1], mesh.interval_offsets[1:] - 1))
+        walk = np.lexsort((-interval, vertex))
+        row, nbr = vertex[walk] - n_i, nbr[walk]
+        self.walk_row, self.walk_edge, self.n_vertices = row, walk % max(n_edges, 1), n_v
+        start = self.indptr[n_i:-1] - 3 * n_i
+        rank = np.arange(row.size) - (np.cumsum(degree) - degree)[row]
+        lead = rank == 0
+        below = np.zeros(n_v, dtype=bool)  # the first neighbour comes before the diagonal
+        below[row[lead]] = nbr[lead] < row[lead] + n_i
+        at = start[row] + rank + 1
+        at[lead & below[row]] -= 1
+        linked = np.flatnonzero(degree)
+        diag_at = start[linked] + below[linked]
+        v_cols = self.indices[3 * n_i :]
+        v_cols[at] = nbr
+        v_cols[diag_at] = linked + n_i
+        # a vertex entry's value: its edge's off-diagonal, or the vertex's
+        # diagonal, which come after all edges
+        self.v_slot = np.empty_like(v_cols)
+        self.v_slot[at] = self.walk_edge
+        self.v_slot[diag_at] = n_edges + linked
+        self.shape = (n, n)
+
+    def vertex_sums(self, w) -> np.ndarray:
+        """Every vertex's sum of its edges' weights w, in its row's order."""
+        return np.bincount(self.walk_row, w[self.walk_edge], self.n_vertices)
+
+    def matrix(self, interior_diag, off, vertex_diag) -> sp.csr_matrix:
+        """The operator with these interior diagonals and off-diagonals per
+        edge and diagonals per vertex."""
+        data = np.empty(self.indices.size)
+        chains = data[: 3 * self.count.sum()].reshape(-1, 3)
+        chains[:, 0] = np.repeat(interior_diag, self.count)
+        chains[:, 1] = np.repeat(off, self.count)
+        chains[:, 2] = chains[:, 1]
+        np.take(np.concatenate((off, vertex_diag)), self.v_slot, out=data[chains.size :])
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+
+    def blocks(self, mesh: ExtendedMesh) -> tuple[_Block, _Block, _Block]:
+        """The FF, FD and DD blocks of operators on this pattern: each sorted
+        by column, FD in CSC (its DF block is ``fd.T``).
+
+        An interior row [d, right, left] sorts to [left, d, right], and on the
+        first node of an edge, whose left neighbour is the tail vertex, to d
+        and then its two neighbours in DOF order; entries in Dirichlet
+        columns drop out.  The few vertex rows are sorted directly.  Each
+        block holds the positions of its entries in the operator's data.
+        """
+        n_i, n_f, n = mesh.n_interior, mesh.n_free, mesh.n_dof
+        n_d = n - n_f
+        first = _edge_chains(mesh)[3]
+        # the vertex rows, sorted by row and column, split by block
+        at = np.arange(3 * n_i, self.indptr[-1])
+        rows = np.repeat(np.arange(n_i, n), np.diff(self.indptr[n_i:]))
+        v_cols = self.indices[3 * n_i :]
+        order = np.lexsort((v_cols, rows))
+        at, rows, v_cols = at[order], rows[order], v_cols[order]
+        free_row, free_col = rows < n_f, v_cols < n_f
+        ff, fd, dd = free_row & free_col, ~free_row & free_col, ~free_row & ~free_col
+        # FF: positions of [left, d, right] in the interior rows [d, right,
+        # left], on a first node of d and its neighbours in DOF order, then
+        # the Kirchhoff rows; entries in Dirichlet columns drop out
+        take = np.arange(3 * n_i + np.count_nonzero(ff))
+        take[: 3 * n_i].reshape(-1, 3)[:] += (2, -1, -1)
+        right, left = self.indices[3 * first + 1], self.indices[3 * first + 2]
+        take[3 * first[:, None] + np.arange(3)] = 3 * first[:, None] + np.where(
+            (right < left)[:, None], (0, 1, 2), (0, 2, 1)
+        )
+        take[3 * n_i :] = at[ff]
+        cols = self.indices[take]
+        keep = cols < n_f
+        counts = np.concatenate((
+            3 - np.bincount(np.flatnonzero(~keep) // 3, minlength=n_i),
+            np.bincount(rows[ff] - n_i, minlength=n_f - n_i),
+        ))
+        d_rows = rows - n_f
+        fd_counts, dd_counts = (np.bincount(d_rows[part], minlength=n_d) for part in (fd, dd))
+        return (
+            _Block(take[keep], cols[keep], counts, (n_f, n_f), sp.csr_matrix),
+            _Block(at[fd], v_cols[fd], fd_counts, (n_f, n_d), sp.csc_matrix),
+            _Block(at[dd], v_cols[dd] - n_f, dd_counts, (n_d, n_d), sp.csr_matrix),
+        )
+
+
+class _Block:
+    """A block of an operator on a mesh's pattern: the positions of its
+    entries in the operator's data, and its own CSR or CSC storage, given
+    its entry count per row (per column in CSC)."""
+
+    def __init__(self, take, indices, counts, shape, fmt):
+        self.take, self.indices, self.shape, self.fmt = take, indices, shape, fmt
+        self.indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=self.indptr[1:])
+
+    def of(self, full: sp.csr_matrix, copy: bool = True):
+        """The block of the operator ``full``; with ``copy=False`` it takes
+        this block's own index arrays, which no later block may then share."""
+        indices, indptr = self.indices, self.indptr
+        if copy:
+            indices, indptr = indices.copy(), indptr.copy()
+        return self.fmt((full.data[self.take], indices, indptr), shape=self.shape)
+
+
+def _pattern(mesh: ExtendedMesh) -> _Pattern:
+    """The mesh's operator pattern, built on first use and kept on the mesh:
+    build_operators assembles three operators on it."""
+    if mesh._operator_pattern is None:
+        mesh._operator_pattern = _Pattern(mesh)
+    return mesh._operator_pattern
+
+
+def assemble_stiffness(mesh: ExtendedMesh) -> sp.csr_matrix:
     """Stiffness matrix of the refined graph in global DOF order.
 
-    ``incidence`` is the mesh's ``extended_incidence``, built here if not given.
+    Every interval adds 1/h_e to the diagonal at both its ends and -1/h_e
+    between them; stored on the mesh's operator pattern (``_Pattern``),
+    which is built on the first call for a mesh and kept while it lives.
     """
-    et = extended_incidence(mesh) if incidence is None else incidence
-    w = np.repeat(1.0 / mesh.h_per_edge, mesh.n_intervals)
-    return (et @ sp.diags(w) @ et.T).tocsr()
+    pattern = _pattern(mesh)
+    w = 1.0 / mesh.h_per_edge
+    return pattern.matrix(2.0 * w, -w, pattern.vertex_sums(w))
 
 
-def assemble_mass(mesh: ExtendedMesh, coefficient=1.0, abs_incidence=None) -> sp.csr_matrix:
+def assemble_mass(mesh: ExtendedMesh, coefficient=1.0) -> sp.csr_matrix:
     """Mass matrix, optionally weighted by a nonnegative per-edge coefficient.
 
-    ``abs_incidence`` is |E| of the mesh's ``extended_incidence``, built here
-    if not given.
+    Every interval adds c_e h_e/3 to the diagonal at both its ends and
+    c_e h_e/6 between them.  Stored on the mesh's operator pattern, as the
+    stiffness matrix is, so an edge with coefficient 0 keeps explicit zeros.
     """
     c = _per_edge(mesh, coefficient, "coefficient")
     if np.any(c < 0):
         raise ValueError("mass coefficient must be nonnegative")
-    et_abs = abs(extended_incidence(mesh)) if abs_incidence is None else abs_incidence
-    w = np.repeat(c * mesh.h_per_edge, mesh.n_intervals)
-    b = (et_abs @ sp.diags(w) @ et_abs.T).tocsr()
-    return ((b + sp.diags(b.diagonal())) / 6.0).tocsr()
+    pattern = _pattern(mesh)
+    w = c * mesh.h_per_edge
+    return pattern.matrix((4.0 * w) * _SIXTH, w * _SIXTH, (2.0 * pattern.vertex_sums(w)) * _SIXTH)
 
 
 def assemble_load(mesh: ExtendedMesh, g, mass=None) -> np.ndarray:
@@ -106,22 +276,6 @@ def l2_distance_sq(mesh: ExtendedMesh, y, g) -> float:
     b = y[head_dof] - head
     h = np.repeat(mesh.h_per_edge, mesh.n_intervals)
     return float(h @ (a * a + a * b + b * b)) / 3.0
-
-
-def partition_blocks(matrix, mesh: ExtendedMesh) -> Blocks:
-    """FF/FD/DD views of a symmetric DOF-ordered operator; its DF block is ``fd.T``.
-
-    ``fd`` stays in CSC, so ``fd.T`` is CSR and its products loop over the
-    n_D rows, and ``fd`` products over the n_D columns.
-    """
-    nf = mesh.n_free
-    csr = matrix.tocsr()
-    top = csr[:nf].tocsc()
-    return Blocks(
-        ff=top[:, :nf].tocsr(),
-        fd=top[:, nf:],
-        dd=csr[nf:].tocsc()[:, nf:].tocsr(),
-    )
 
 
 @dataclass(frozen=True)
@@ -298,20 +452,32 @@ class GraphFactor:
         return self.join(x_i0, c)
 
 
+def _vertex_coupling(k_vi, lift):
+    """K_VI times the interior rows of the lift, as COO entries.
+
+    Every edge end's coupling to its edge's chain (its K_VI entry) times the
+    chain's response next to that end, in the lift columns of the edge's two
+    ends: each edge adds a 2 x 2 block on its end vertices.  Its Kirchhoff
+    columns are S - K_VV and minus its Dirichlet columns R - K_VD.
+    """
+    rows = np.repeat(np.arange(k_vi.shape[0]), 2 * np.diff(k_vi.indptr))
+    at = 2 * k_vi.indices[:, None] + np.arange(2)  # the lift's two entries of an interior row
+    return rows, lift.indices[at].ravel(), (k_vi.data[:, None] * lift.data[at]).ravel()
+
+
 def factor_graph(ops: FeOperators) -> GraphFactor:
     """Static condensation of K_FF onto the Kirchhoff vertices (Kron reduction).
 
     One dpttrs solve with the indicators of every edge's first and last
-    interior node gives all end responses, hence the sparse lift; the
-    Kirchhoff rows of K_FF times its first n_K columns are S.
+    interior node gives all end responses, hence the sparse lift, and S is
+    K_VV plus each edge's 2 x 2 block of end couplings times end responses.
     """
     mesh = ops.mesh
     n_i, n_f = mesh.n_interior, ops.n_free
     n_k = n_f - n_i
-    inner = np.flatnonzero(mesh.n_intervals > 1)
-    first, last = mesh.interior_offsets[inner], mesh.interior_offsets[inner + 1] - 1
+    end_dof, count, inner, first, last = _edge_chains(mesh)
     # columns: every edge's response to a unit load next to its tail, its head
-    ends = np.zeros((n_i, 2))
+    ends = np.zeros((n_i, 2), order="F")
     ends[first, 0] = 1.0
     ends[last, 1] = 1.0
     chain = None
@@ -319,28 +485,46 @@ def factor_graph(ops: FeOperators) -> GraphFactor:
         # scipy's dpttrf takes exactly n - 1 off-diagonal entries, but one when n = 1
         off = ops.K_FF.diagonal(1)[: n_i - 1] if n_i > 1 else np.zeros(1)
         chain = lapack.dpttrf(ops.K_FF.diagonal()[:n_i], off)[:2]
-        ends = lapack.dpttrs(*chain, ends)[0]
+        ends = lapack.dpttrs(*chain, ends, overwrite_b=True)[0]
     # Interior row i of the lift holds, in the column of each end of its
     # edge, that end's coupling to the edge times its response at i; the
     # -W block carries a minus sign.
-    end_dof = mesh.vertex_dof[np.asarray(mesh.graph.edges, dtype=int).reshape(-1, 2)]
     coupling = np.zeros(end_dof.shape)
     if inner.size:
         coupling[inner, 0] = np.asarray(ops.K[first, end_dof[inner, 0]]).ravel()
         coupling[inner, 1] = np.asarray(ops.K[last, end_dof[inner, 1]]).ravel()
     coupling[end_dof < n_f] *= -1.0
-    edge_of = np.repeat(np.arange(len(end_dof)), mesh.n_intervals - 1)
-    data = np.append(coupling[edge_of] * ends, np.ones(n_k))
-    indices = np.append(end_dof[edge_of] - n_i, np.arange(n_k))
-    indptr = np.append(np.arange(0, 2 * n_i, 2), 2 * n_i + np.arange(n_k + 1))
+    data = np.empty(2 * n_i + n_k)
+    indices = np.empty(2 * n_i + n_k, dtype=np.int32)
+    pair_vals, pair_cols = data[: 2 * n_i].reshape(-1, 2), indices[: 2 * n_i].reshape(-1, 2)
+    for side in (0, 1):
+        np.multiply(np.repeat(coupling[:, side], count), ends[:, side], out=pair_vals[:, side])
+        pair_cols[:, side] = np.repeat(end_dof[:, side] - n_i, count)
+    data[2 * n_i :] = 1.0
+    indices[2 * n_i :] = np.arange(n_k)
+    # two entries on each interior row, one on each Kirchhoff row
+    indptr = np.arange(n_f + 1, dtype=np.int32)
+    indptr += np.minimum(indptr, n_i)
     lift = sp.csr_matrix((data, indices, indptr), shape=(n_f, n_k + ops.n_dirichlet))
+    k_v = ops.K_FF[n_i:]
+    k_vi = k_v[:, :n_i]
     s_factor = None
     if n_k:
+        k_vv = k_v[:, n_i:].tocoo()
+        rows, cols, vals = _vertex_coupling(k_vi, lift)
+        kept = cols < n_k
+        s = sp.csc_matrix(
+            (
+                np.concatenate((k_vv.data, vals[kept])),
+                (np.concatenate((k_vv.row, rows[kept])), np.concatenate((k_vv.col, cols[kept]))),
+            ),
+            shape=(n_k, n_k),
+        )
         try:
-            s_factor = linalg.factor(ops.K_FF[n_i:] @ lift[:, :n_k], "cholesky")
+            s_factor = linalg.factor(s, "cholesky")
         except linalg.NotPositiveDefiniteError as exc:
             raise SingularOperatorError(f"operator not coercive: {exc}") from exc
-    return GraphFactor(chain, ops.K_FF[n_i:, :n_i], lift, s_factor)
+    return GraphFactor(chain, k_vi, lift, s_factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,22 +565,89 @@ class VertexCondensation:
         return self.kff.join(x_i0, c)
 
 
+def _lifted_mass(ops: FeOperators, lift):
+    """The interior rows of M_FF lift, as (n_I, 2) pairs like the lift's,
+    and B = lift^T M_FF lift in CSC, edge by edge.
+
+    On an edge the lift is a map P_e from the values at the edge's two end
+    vertices: p_i at its interior node i, and at each end the identity where
+    the end is a Kirchhoff vertex and 0 where it is a Dirichlet vertex, whose
+    DOF is not free.  The mass matrix of the edge's own intervals is
+    M_e = (h_e / 6) T with T tridiagonal, 1 off the diagonal, 4 on it and 2
+    at the two ends.  M_FF lift on the edge's interior is M_e P_e there, and
+    B is the sum over edges of the 2 x 2 blocks P_e^T M_e P_e on the edge's
+    two end columns.
+    """
+    mesh = ops.mesh
+    n_i, n_f = mesh.n_interior, ops.n_free
+    end_dof, count, inner, first, last = _edge_chains(mesh)
+    scale = mesh.h_per_edge * _SIXTH
+    # P_e at the tail vertex and at the head vertex, and at the interior nodes
+    tail = np.zeros(end_dof.shape)
+    head = np.zeros(end_dof.shape)
+    tail[:, 0] = end_dof[:, 0] < n_f
+    head[:, 1] = end_dof[:, 1] < n_f
+    p = lift.data[: 2 * n_i].reshape(-1, 2)
+    q = np.empty_like(p)
+    scale_i, before, after = np.repeat(scale, count), np.empty(n_i), np.empty(n_i)
+    for side in (0, 1):
+        # (T P_e)_i = p_before + 4 p_i + p_after, where the node before the
+        # first interior node is the tail vertex, and the one after the last
+        # the head vertex
+        p_s = p[:, side]
+        before[1:] = p_s[:-1]
+        before[first] = tail[inner, side]
+        after[:-1] = p_s[1:]
+        after[last] = head[inner, side]
+        before += after
+        np.multiply(p_s, 4.0, out=after)
+        before += after
+        np.multiply(scale_i, before, out=q[:, side])
+    b_e = np.zeros((len(end_dof), 2, 2))  # P_e^T M_e P_e of every edge
+    if n_i:
+        for s, t in np.ndindex(2, 2):  # the interior nodes' sums of p_s q_t
+            np.multiply(p[:, s], q[:, t], out=after)
+            b_e[inner, s, t] = np.add.reduceat(after, first)
+    # each end vertex adds P_e there times (M_e P_e) there: h_e / 6 times
+    # 2 P_e there plus P_e at its neighbour on the edge
+    next_to_tail, next_to_head = head.copy(), tail.copy()
+    next_to_tail[inner] = p[first]
+    next_to_head[inner] = p[last]
+    b_e[:, 0] += tail[:, :1] * scale[:, None] * (2.0 * tail + next_to_tail)
+    b_e[:, 1] += head[:, 1:] * scale[:, None] * (2.0 * head + next_to_head)
+    cols = end_dof - n_i  # the lift columns of the edge's ends
+    entries = (b_e.ravel(), (np.repeat(cols, 2, axis=1).ravel(), np.tile(cols, 2).ravel()))
+    return q, sp.csc_matrix(entries, shape=(lift.shape[1],) * 2)
+
+
 def condense(ops: FeOperators) -> VertexCondensation:
     """Condensed K_FF^{-1} K_FD and its Gram matrix, from the graph factor of K_FF.
 
-    The Gram matrix is [Y; I]^T B [Y; I] with B = lift^T M_FF lift and
+    R, M_FF lift and B = lift^T M_FF lift are formed edge by edge from the
+    lift's end responses.  The Gram matrix is [Y; I]^T B [Y; I] with
     Y = S^{-1} R, a block of controls at a time: no K_FF solve, and no dense
     n_K x n_D array.
     """
     kff = ops.kff_factor()._lu
     n_k, n_i = kff.k_vi.shape
     n_d = ops.n_dirichlet
-    r = (ops.K_FD[n_i:] - kff.k_vi @ kff.lift[:n_i, n_k:]).tocsc()
-    mass_lift = ops.M_FF @ kff.lift
-    b = (kff.lift.T @ mass_lift).tocsc()
-    cond = VertexCondensation(
-        mass_lift[:n_i].T.tocsr(), b[:, :n_k].tocsr(), r, kff, np.empty((n_d, n_d))
+    rows, cols, vals = _vertex_coupling(kff.k_vi, kff.lift)
+    kept = cols >= n_k
+    k_vd = ops.K_FD[n_i:].tocoo()
+    r = sp.csc_matrix(
+        (
+            np.concatenate((k_vd.data, -vals[kept])),
+            (np.concatenate((k_vd.row, rows[kept])), np.concatenate((k_vd.col, cols[kept] - n_k))),
+        ),
+        shape=(n_k, n_d),
     )
+    q, b = _lifted_mass(ops, kff.lift)
+    # q has the lift's layout, so it is (M_FF lift)^T in CSC; its product
+    # runs twice as fast in CSR, once per preconditioner apply
+    mass_lift_t = sp.csc_matrix(
+        (q.ravel(), kff.lift.indices[: 2 * n_i], kff.lift.indptr[: n_i + 1]), shape=(n_k + n_d, n_i)
+    ).tocsr()
+    cond = VertexCondensation(mass_lift_t, b[:, :n_k].tocsr(), r, kff, np.empty((n_d, n_d)))
     b_vv, b_vd, b_dv, b_dd = b[:n_k, :n_k], b[:n_k, n_k:], b[n_k:, :n_k], b[n_k:, n_k:]
     for j in range(0, n_d, 64):  # two S solves per block of 64 controls
         cols = slice(j, min(j + 64, n_d))
@@ -409,25 +660,29 @@ def condense(ops: FeOperators) -> VertexCondensation:
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
     """Assemble M, K = A + M_c0 (neither term kept), their blocks, and the loads.
 
-    The three matrices share one extended incidence matrix E and one |E|;
-    each is the same to the last bit as when assembled on its own.
+    A and M_c0 share the mesh's pattern, so K is their sum entry by entry;
+    an entry that cancels to zero is not stored, as in a sparse sum.  The
+    blocks are taken from K and M at positions found along the edge chains.
     """
-    et = extended_incidence(mesh)
-    et_abs = abs(et)
-    m = assemble_mass(mesh, abs_incidence=et_abs)
-    k = (assemble_stiffness(mesh, et) + assemble_mass(mesh, data.c0, et_abs)).tocsr()
-    kb = partition_blocks(k, mesh)
-    mb = partition_blocks(m, mesh)
+    m = assemble_mass(mesh)
+    k = assemble_stiffness(mesh)
+    k.data += assemble_mass(mesh, data.c0).data
+    blocks = _pattern(mesh).blocks(mesh)
+    k_ff, k_fd = (block.of(k) for block in blocks[:2])
+    m_ff, m_fd, m_dd = (block.of(m, copy=False) for block in blocks)
+    if not k.data.all():
+        for mat in (k, k_ff, k_fd):
+            mat.eliminate_zeros()
     return FeOperators(
         mesh=mesh,
         data=data,
         M=m,
         K=k,
-        K_FF=kb.ff,
-        K_FD=kb.fd,
-        M_FF=mb.ff,
-        M_FD=mb.fd,
-        M_DD=mb.dd,
+        K_FF=k_ff,
+        K_FD=k_fd,
+        M_FF=m_ff,
+        M_FD=m_fd,
+        M_DD=m_dd,
         f_vec=assemble_load(mesh, data.f, m),
         ybar_vec=assemble_load(mesh, data.ybar, m),
     )

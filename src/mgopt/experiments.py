@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -360,6 +359,8 @@ def eig_probe(cfg: StudyConfig) -> EigProbeResult:
 def dump_matrices(ops, directory) -> None:
     """Write A (assembled here; the operators do not keep it), M and K to
     MatrixMarket files for external verification."""
+    import scipy.io  # here, not at import: only this writer needs it
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, mat in (("A", assemble_stiffness(ops.mesh)), ("M", ops.M), ("K", ops.K)):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 DIRICHLET = "dirichlet"
@@ -166,6 +165,8 @@ def load_matrix_market(path, n_controls: int = 12, seed: int = 0) -> MetricGraph
     falls back to 1); without one every length is 1.  n_controls distinct
     vertices drawn with the seeded generator become Dirichlet nodes.
     """
+    import scipy.io  # here, not at import: no solve reads a MatrixMarket file
+
     path = Path(path)
     try:
         mat = scipy.io.mmread(str(path))

@@ -16,7 +16,8 @@ class ExtendedMesh:
     DOF layout: interior nodes first (edge by edge, j = 1..n_e-1 within an
     edge), then Kirchhoff vertices, then Dirichlet vertices, both in ascending
     vertex order.  Interior node (e, j) sits at arc length j*h_e from the tail
-    of edge e.  Instances are immutable after construction.
+    of edge e.  Instances are immutable after construction, but for the
+    operator pattern that ``assembly`` caches on them.
     """
 
     def __init__(self, graph: MetricGraph, n_intervals):
@@ -41,7 +42,12 @@ class ExtendedMesh:
             self.n_interior + self.kirchhoff_vertices.size + np.arange(self.dirichlet_vertices.size)
         )
         self.vertex_dof = vertex_dof
+        # the DOFs of every edge's tail and head vertex, one row per edge
+        self.end_dofs = vertex_dof[np.asarray(graph.edges, dtype=int).reshape(-1, 2)]
         self.n_dof = self.n_interior + graph.n_vertices
+        # the sparse storage that ``assembly`` builds every operator on,
+        # built there on first use and kept for the mesh's lifetime
+        self._operator_pattern = None
 
     @property
     def n_free(self) -> int:
@@ -94,11 +100,10 @@ def interval_end_dofs(mesh: ExtendedMesh) -> tuple[np.ndarray, np.ndarray]:
     prolongation are all built from it.
     """
     n = mesh.n_intervals
-    ends = np.asarray(mesh.graph.edges, dtype=int).reshape(-1, 2)
     k = _interval_index(mesh)
     interior = np.repeat(mesh.interior_offsets[:-1], n) + k
-    tail = np.where(k == 0, np.repeat(mesh.vertex_dof[ends[:, 0]], n), interior - 1)
-    head = np.where(k == np.repeat(n - 1, n), np.repeat(mesh.vertex_dof[ends[:, 1]], n), interior)
+    tail = np.where(k == 0, np.repeat(mesh.end_dofs[:, 0], n), interior - 1)
+    head = np.where(k == np.repeat(n - 1, n), np.repeat(mesh.end_dofs[:, 1], n), interior)
     return tail, head
 
 

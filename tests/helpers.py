@@ -1,23 +1,27 @@
 """Shared test oracles: the graph Laplacian, per-edge DOF walks,
-element-by-element assembly, tridiagonal solves, the adjoint solve, random
-graphs and meshes, and a fresh interpreter with one BLAS thread.
+element-by-element assembly, the incidence-matrix assembly that
+``build_operators`` must equal bit for bit, tridiagonal solves, the adjoint
+solve, random graphs and meshes, and a fresh interpreter with one BLAS
+thread.
 
-These deliberately avoid the incidence-matrix code paths they are used to
-check.
+The element-by-element oracles deliberately avoid the code paths they are
+used to check.
 """
 
 import os
 import subprocess
 import sys
 import textwrap
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from mgopt.assembly import assemble_load
 from mgopt.graphs import MetricGraph
-from mgopt.mesh import ExtendedMesh, PiecewiseLinearFunction
+from mgopt.mesh import ExtendedMesh, PiecewiseLinearFunction, extended_incidence
 
 
 def graph_laplacian(g):
@@ -87,6 +91,68 @@ def element_load(mesh, g):
             b[dofs[k]] += w * (2 * vals[k] + vals[k + 1])
             b[dofs[k + 1]] += w * (vals[k] + 2 * vals[k + 1])
     return b
+
+
+def incidence_stiffness(mesh):
+    """E W E^T with W the intervals' weights 1/h_e, E the extended incidence matrix."""
+    et = extended_incidence(mesh)
+    w = np.repeat(1.0 / mesh.h_per_edge, mesh.n_intervals)
+    return (et @ sp.diags(w) @ et.T).tocsr()
+
+
+def incidence_mass(mesh, coefficient=1.0):
+    """(|E| W |E|^T + its diagonal) / 6 with W the intervals' weights c_e h_e."""
+    c = np.full(mesh.graph.n_edges, float(coefficient)) if np.isscalar(coefficient) else np.asarray(coefficient)
+    et_abs = abs(extended_incidence(mesh))
+    w = np.repeat(c * mesh.h_per_edge, mesh.n_intervals)
+    b = (et_abs @ sp.diags(w) @ et_abs.T).tocsr()
+    return ((b + sp.diags(b.diagonal())) / 6.0).tocsr()
+
+
+Blocks = namedtuple("Blocks", ["ff", "fd", "dd"])
+
+
+def partition_blocks(matrix, mesh):
+    """FF/FD/DD blocks of a DOF-ordered operator by scipy slicing: FF and DD
+    in CSR, FD in CSC, each sorted by index."""
+    nf = mesh.n_free
+    csr = matrix.tocsr()
+    top = csr[:nf].tocsc()
+    return Blocks(ff=top[:, :nf].tocsr(), fd=top[:, nf:], dd=csr[nf:].tocsc()[:, nf:].tocsr())
+
+
+def incidence_operators(mesh, data):
+    """Every array of ``build_operators(mesh, data)`` from the incidence-matrix
+    assembly: M, K = A + M_c0 as scipy sums them, the blocks by slicing, and
+    the loads, scalar ones as M times the constant.
+
+    ``build_operators`` must equal these to the last bit and in storage
+    order, since MINRES and unpreconditioned GMRES counts follow the bits.
+    """
+    m = incidence_mass(mesh)
+    k = (incidence_stiffness(mesh) + incidence_mass(mesh, data.c0)).tocsr()
+    kb, mb = partition_blocks(k, mesh), partition_blocks(m, mesh)
+
+    def load(g):
+        return m @ np.full(mesh.n_dof, float(g)) if np.isscalar(g) else assemble_load(mesh, g)
+
+    return {
+        "M": m, "K": k, "K_FF": kb.ff, "K_FD": kb.fd, "M_FF": mb.ff, "M_FD": mb.fd, "M_DD": mb.dd,
+        "f_vec": load(data.f), "ybar_vec": load(data.ybar),
+    }
+
+
+def assert_same_arrays(ops, expected):
+    """Each matrix of ``ops`` in the same format and with equal indptr,
+    indices and data as in ``expected``; each vector equal."""
+    for name, want in expected.items():
+        got = getattr(ops, name)
+        if sp.issparse(want):
+            assert got.format == want.format, name
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+        else:
+            assert np.array_equal(got, want), name
 
 
 def thomas_solve(lower, diag, upper, rhs):
@@ -171,6 +237,40 @@ def controlled_meshes(draw):
     if draw(st.booleans()):
         c0 = np.zeros_like(c0)
     return ExtendedMesh(MetricGraph(g.n_vertices, g.edges, g.lengths, tuple(dirichlet)), mesh.n_intervals), c0
+
+
+@st.composite
+def assembly_meshes(draw):
+    """A random graph for the assembly property: connected vertices, edges in
+    random orientation, and up to two isolated vertices; per-edge lengths,
+    interval counts from 1 and c0 (drawn so that -1/h + c0 h/6 sometimes
+    cancels exactly); a Dirichlet set that sometimes holds a vertex given
+    one to four spokes; and scalar, per-edge or sampled loads."""
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    dirichlet = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    hub_degree = draw(st.integers(0, 4))
+    if hub_degree:
+        # a Dirichlet vertex joined to vertex 0 and to hub_degree - 1 new leaves
+        hub = n
+        edges |= {(0, hub)} | {(hub, hub + k) for k in range(1, hub_degree)}
+        dirichlet.add(hub)
+        n += hub_degree
+    n_isolated = draw(st.integers(0, 2))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+    m = len(edges)
+    lengths = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.05, 5.0), min_size=m, max_size=m))
+    counts = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    c0 = draw(st.lists(st.sampled_from([0.0, 1.5, 6.0]) | st.floats(0.0, 3.0), min_size=m, max_size=m))
+    graph = MetricGraph(n + n_isolated, tuple(edges), np.array(lengths), tuple(sorted(dirichlet)))
+    values = st.lists(st.floats(-2.0, 2.0), min_size=2 * m, max_size=2 * m)
+    a, b = np.array(draw(values)).reshape(2, -1)
+    sampler = lambda e, x: a[e] + b[e] * np.sin(x)
+    loads = draw(st.tuples(*[st.sampled_from([1.5, -0.5, a, sampler])] * 2))
+    c0 = draw(st.sampled_from([np.array(c0), 2.0, 0.0]))
+    return ExtendedMesh(graph, counts), c0, loads
 
 
 def graph_with_floating_triangle(lengths=(1.0,) * 6):

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mgopt.assembly import (
     ProblemData,
@@ -14,7 +13,6 @@ from mgopt.assembly import (
     build_operators,
     floating_components,
     l2_distance_sq,
-    partition_blocks,
 )
 from mgopt.graphs import (
     MetricGraph,
@@ -26,6 +24,8 @@ from mgopt.mesh import ExtendedMesh, build_mesh
 from mgopt.pde import solve_state
 
 from helpers import (
+    assembly_meshes,
+    assert_same_arrays,
     controlled_meshes,
     edge_node_dofs,
     element_load,
@@ -33,6 +33,7 @@ from helpers import (
     element_stiffness,
     graph_laplacian,
     graph_with_floating_triangle,
+    incidence_operators,
     nonuniform_meshes,
     random_metric_graph,
 )
@@ -153,30 +154,31 @@ def test_partition_zero_kirchhoff_dirichlet_block():
     # Dirichlet vertices directly
     g = make_star(5)
     mesh = build_mesh(g, 4)
-    k = assemble_stiffness(mesh) + assemble_mass(mesh, 2.0)
-    blocks = partition_blocks(k, mesh)
-    kirchhoff_rows = blocks.fd.toarray()[mesh.n_interior :, :]
-    assert np.all(kirchhoff_rows == 0.0)
-    assert blocks.ff.shape == (mesh.n_free, mesh.n_free)
-    assert blocks.dd.shape == (5, 5)
-    assert blocks.ff.shape[0] + blocks.dd.shape[0] == mesh.n_dof
+    ops = build_operators(mesh, ProblemData(beta=1.0, c0=2.0))
+    for fd in (ops.K_FD, ops.M_FD):
+        assert np.all(fd.toarray()[mesh.n_interior :, :] == 0.0)
+    assert ops.K_FF.shape == ops.M_FF.shape == (mesh.n_free, mesh.n_free)
+    assert ops.M_DD.shape == (5, 5)
+    assert ops.K_FF.shape[0] + ops.M_DD.shape[0] == mesh.n_dof
 
 
 def test_partition_single_element_couples_directly():
     g = single_edge(dirichlet=(1,))
     mesh = build_mesh(g, 1)
-    k = assemble_stiffness(mesh)
-    blocks = partition_blocks(k, mesh)
-    assert blocks.fd.toarray()[0, 0] == -1.0
+    ops = build_operators(mesh, ProblemData(beta=1.0, c0=0.0))
+    assert ops.K_FD.toarray()[0, 0] == -1.0
 
 
 def test_partition_transpose_consistency():
     rng = np.random.default_rng(3)
     mesh = build_mesh(random_metric_graph(rng), 3)
-    k = assemble_stiffness(mesh) + assemble_mass(mesh, 1.0)
-    blocks = partition_blocks(k, mesh)
-    # the DF block callers read as fd.T
-    assert (k.tocsr()[mesh.n_free :, : mesh.n_free] - blocks.fd.T).count_nonzero() == 0
+    ops = build_operators(mesh, ProblemData(beta=1.0, c0=1.0))
+    nf = mesh.n_free
+    # the DF block callers read as fd.T, and the blocks cover the operator
+    for full, ff, fd, dd in ((ops.K, ops.K_FF, ops.K_FD, None), (ops.M, ops.M_FF, ops.M_FD, ops.M_DD)):
+        assert (full[nf:, :nf] - fd.T).count_nonzero() == 0
+        assert (full[:nf, :nf] - ff).count_nonzero() == 0
+        assert dd is None or (full[nf:, nf:] - dd).count_nonzero() == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -193,34 +195,35 @@ def test_formula_matches_elementwise_assembly(mesh_and_c0):
     assert np.abs(m - m_ref).max() <= 1e-14 * max(np.abs(m_ref).max(), 1e-300)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(nonuniform_meshes(), st.data())
-def test_build_operators_equals_separately_assembled_operators_bit_for_bit(mesh_and_c0, draw):
-    # one incidence matrix for M, A and M_c0 gives every array that each
-    # assembly building its own incidence matrix gives, with per-edge c0 and
-    # sampled or per-edge loads
-    mesh, c0 = mesh_and_c0
-    n_edges = mesh.graph.n_edges
-    values = st.lists(st.floats(-2.0, 2.0), min_size=2 * n_edges, max_size=2 * n_edges)
-    a, b = np.array(draw.draw(values)).reshape(2, -1)
-    sampler = lambda e, x: a[e] + b[e] * np.sin(x)
-    f = draw.draw(st.sampled_from([1.5, sampler]))
-    ybar = draw.draw(st.sampled_from([a, sampler, -0.5]))
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(assembly_meshes())
+def test_build_operators_equals_incidence_assembly_bit_for_bit(mesh_c0_loads):
+    # K, M, the five blocks and both loads, assembled edge by edge on one
+    # pattern, equal the incidence-matrix products, sums and slices in
+    # format, storage order and every bit: with per-edge lengths, interval
+    # counts from 1, c0 that is zero on some edges or cancels -1/h exactly,
+    # Dirichlet vertices of degree 1-4, isolated vertices, and scalar,
+    # per-edge and sampled loads
+    mesh, c0, (f, ybar) = mesh_c0_loads
     data = ProblemData(beta=1.0, c0=c0, f=f, ybar=ybar)
-    ops = build_operators(mesh, data)
-    m = assemble_mass(mesh)
-    k = (assemble_stiffness(mesh) + assemble_mass(mesh, c0)).tocsr()
-    kb, mb = partition_blocks(k, mesh), partition_blocks(m, mesh)
-    expected = {
-        "M": m, "K": k, "K_FF": kb.ff, "K_FD": kb.fd, "M_FF": mb.ff, "M_FD": mb.fd, "M_DD": mb.dd
-    }
-    for name, mat in expected.items():
-        got = getattr(ops, name)
-        assert got.format == mat.format, name
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, part), getattr(mat, part)), (name, part)
-    assert np.array_equal(ops.f_vec, assemble_load(mesh, f, m))
-    assert np.array_equal(ops.ybar_vec, assemble_load(mesh, ybar, m))
+    assert_same_arrays(build_operators(mesh, data), incidence_operators(mesh, data))
+
+
+@pytest.mark.parametrize(
+    "graph, n_e",
+    [
+        (make_fdm_L_graph(40, n_controls=100, seed=0), 64),
+        (make_fdm_L_graph(40, n_controls=400, seed=0), 16),
+        (make_fdm_L_graph(20, n_controls=40, seed=0), 128),
+        (make_star(12), 256),
+    ],
+    ids=["solve-L40", "sweep-L40-c400", "minres-L20", "unprecond-star12"],
+)
+def test_build_operators_equals_incidence_assembly_on_benchmark_meshes(graph, n_e):
+    # the benchmark workloads' seed-0 meshes and data (the star's largest)
+    data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
+    mesh = build_mesh(graph, n_e)
+    assert_same_arrays(build_operators(mesh, data), incidence_operators(mesh, data))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -17,7 +17,7 @@ from mgopt.graphs import (
 )
 from mgopt.mesh import build_mesh, extended_incidence
 
-from helpers import graph_laplacian, random_metric_graph
+from helpers import graph_laplacian, random_metric_graph, run_one_blas_thread
 
 
 def test_laplacians_two_node_path():
@@ -145,6 +145,13 @@ def test_graph_validation():
 def _write(path, text):
     path.write_text(text)
     return path
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # scipy.io (its netCDF, ARFF and MATLAB readers among it) loads only when
+    # a MatrixMarket file is read or written, not with every mgopt command
+    out = run_one_blas_thread("import sys, mgopt; print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
+    assert out.strip() == "[]"
 
 
 def test_load_matrix_market_pattern_path(tmp_path):
