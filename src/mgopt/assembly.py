@@ -11,8 +11,9 @@ cuts the free/Dirichlet blocks out of it along the edge chains, with no
 sparse product, slice or format conversion.
 
 The graph factor of K_FF eliminates every edge's interior DOFs (Kron
-reduction onto the vertices), and the vertex condensation of K_FF^{-1} K_FD
-is formed the same way: both come from each edge's two end responses.
+reduction onto the vertices) and holds H = K_FF^{-1} K_FD condensed onto
+them; the vertex condensation adds the parts of H^T M_FF H.  All come from
+each edge's two end responses.
 """
 
 from __future__ import annotations
@@ -296,7 +297,9 @@ class ProblemData:
         for name in ("beta", "c0", "f", "ybar"):
             value = getattr(self, name)
             if callable(value):
-                continue  # sampled values are checked by mesh.interval_samples
+                if name in ("f", "ybar"):
+                    continue  # sampled values are checked by mesh.interval_samples
+                raise ValueError(f"{name} cannot be a sampler: only f and ybar are sampled")
             arr = np.asarray(value, dtype=float)
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
@@ -304,11 +307,7 @@ class ProblemData:
                 raise ValueError(f"{name} must be finite, got {arr.flat[bad[0]]}{where}")
         if not self.beta > 0:
             raise ValueError(f"regularization weight must be positive, got {self.beta}")
-        c0 = self.c0
-        if np.isscalar(c0):
-            if c0 < 0:
-                raise ValueError("potential coefficient c0 must be nonnegative")
-        elif np.any(np.asarray(c0, dtype=float) < 0):
+        if np.any(np.asarray(self.c0, dtype=float) < 0):
             raise ValueError("potential coefficient c0 must be nonnegative")
 
 
@@ -335,6 +334,7 @@ class FeOperators:
     _kff: linalg.Factorization | None = field(default=None, repr=False)
     _condensation: VertexCondensation | None = field(default=None, repr=False)
     _mass_diagonal: tuple | None = field(default=None, repr=False)
+    _floating: list | None = field(default=None, repr=False)
 
     @property
     def n_free(self) -> int:
@@ -357,12 +357,14 @@ class FeOperators:
         return self.ybar_vec[self.n_free :]
 
     def require_coercive(self) -> None:
-        """Raise SingularOperatorError if a graph component has no Dirichlet node and c0 = 0."""
-        floating = floating_components(self.mesh, self.data.c0)
-        if floating:
+        """Raise SingularOperatorError if a graph component has no Dirichlet node
+        and c0 = 0; the graph is searched once and every later call looks it up."""
+        if self._floating is None:
+            self._floating = floating_components(self.mesh, self.data.c0)
+        if self._floating:
             raise SingularOperatorError(
-                f"operator not coercive: {len(floating)} component(s) with no Dirichlet "
-                f"node and zero potential; the first holds vertices {floating[0][:8].tolist()}"
+                f"operator not coercive: {len(self._floating)} component(s) with no Dirichlet node"
+                f" and zero potential; the first holds vertices {self._floating[0][:8].tolist()}"
             )
 
     def kff_factor(self) -> linalg.Factorization:
@@ -373,7 +375,7 @@ class FeOperators:
         return self._kff
 
     def condensation(self) -> VertexCondensation:
-        """Cached condensed form of K_FF^{-1} K_FD and its Gram matrix; see ``condense``."""
+        """Cached H^T M_FF and H^T M_FF H on the graph factor's H; see ``condense``."""
         if self._condensation is None:
             self._condensation = condense(self)
         return self._condensation
@@ -419,16 +421,20 @@ class GraphFactor:
     K_II is tridiagonal with no coupling between edges (the interior DOFs
     are numbered edge by edge) and SPD on any mesh, so ``chain`` holds its
     LAPACK dpttrf factor.  W = K_II^{-1} K_IV and Z = K_II^{-1} K_ID hold
-    the two end responses of every edge; ``lift`` is [[-W, Z], [I, 0]] and
-    ``s_factor`` the Cholesky-mode factor of S = K_VV - K_VI W.  A solve
-    has two parts, the chain part x_I0 = K_II^{-1} b_I and the vertex part
-    x_V = S^{-1}(b_V - K_VI x_I0), and is x = [x_I0; 0] + lift [x_V; 0].
+    the two end responses of every edge; ``lift`` is [[-W, Z], [I, 0]],
+    ``s_factor`` the Cholesky-mode factor of S = K_VV - K_VI W and ``r`` is
+    R = K_VD - K_VI Z.  A solve has two parts, the chain part
+    x_I0 = K_II^{-1} b_I and the vertex part x_V = S^{-1}(b_V - K_VI x_I0),
+    and is x = [x_I0; 0] + lift [x_V; 0].  H = K_FF^{-1} K_FD, which reads
+    only K, is H s = lift [S^{-1} R s; s] (``minus_h``); ``r_t`` is R^T in CSR.
     """
 
     chain: tuple | None  # None when there is no interior DOF
     k_vi: sp.csr_matrix
     lift: sp.csr_matrix
     s_factor: linalg.Factorization | None  # None when there is no Kirchhoff vertex
+    r: sp.csc_matrix
+    r_t: sp.csr_matrix
 
     def vertex_solve(self, b):
         return b if self.s_factor is None else self.s_factor.solve(b)
@@ -442,7 +448,7 @@ class GraphFactor:
     def join(self, x_i0, c) -> np.ndarray:
         """[x_I0; 0] + lift c, for c on the Kirchhoff and then the Dirichlet vertices."""
         x = linalg.matvec(self.lift, c)
-        x[: x_i0.size] += x_i0
+        x[: self.k_vi.shape[1]] += x_i0
         return x
 
     def solve(self, b) -> np.ndarray:
@@ -451,26 +457,24 @@ class GraphFactor:
         c[: x_v.size] = x_v
         return self.join(x_i0, c)
 
-
-def _vertex_coupling(k_vi, lift):
-    """K_VI times the interior rows of the lift, as COO entries.
-
-    Every edge end's coupling to its edge's chain (its K_VI entry) times the
-    chain's response next to that end, in the lift columns of the edge's two
-    ends: each edge adds a 2 x 2 block on its end vertices.  Its Kirchhoff
-    columns are S - K_VV and minus its Dirichlet columns R - K_VD.
-    """
-    rows = np.repeat(np.arange(k_vi.shape[0]), 2 * np.diff(k_vi.indptr))
-    at = 2 * k_vi.indices[:, None] + np.arange(2)  # the lift's two entries of an interior row
-    return rows, lift.indices[at].ravel(), (k_vi.data[:, None] * lift.data[at]).ravel()
+    def minus_h(self, x_i0, x_v, s) -> np.ndarray:
+        """y - H s for y = [x_I0; 0] + lift [x_V; 0], with one lift product."""
+        n_k = self.k_vi.shape[0]
+        c = np.empty(self.lift.shape[1])
+        np.subtract(x_v, self.vertex_solve(linalg.matvec(self.r, s)), out=c[:n_k])
+        np.negative(s, out=c[n_k:])
+        return self.join(x_i0, c)
 
 
 def factor_graph(ops: FeOperators) -> GraphFactor:
     """Static condensation of K_FF onto the Kirchhoff vertices (Kron reduction).
 
     One dpttrs solve with the indicators of every edge's first and last
-    interior node gives all end responses, hence the sparse lift, and S is
-    K_VV plus each edge's 2 x 2 block of end couplings times end responses.
+    interior node gives all end responses, hence the sparse lift.  K_VI
+    times the lift's interior rows adds each edge's 2 x 2 block of end
+    couplings times end responses on its end vertices: its Kirchhoff
+    columns added to K_VV give S, its Dirichlet columns taken from K_VD
+    give R.
     """
     mesh = ops.mesh
     n_i, n_f = mesh.n_interior, ops.n_free
@@ -508,61 +512,54 @@ def factor_graph(ops: FeOperators) -> GraphFactor:
     lift = sp.csr_matrix((data, indices, indptr), shape=(n_f, n_k + ops.n_dirichlet))
     k_v = ops.K_FF[n_i:]
     k_vi = k_v[:, :n_i]
+    # K_VI times the lift's interior rows: every edge end's K_VI entry times
+    # the lift's two entries on the interior row next to that end
+    rows = np.repeat(np.arange(n_k), 2 * np.diff(k_vi.indptr))
+    at = 2 * k_vi.indices[:, None] + np.arange(2)
+    cols = lift.indices[at].ravel()
+    vals = (k_vi.data[:, None] * lift.data[at]).ravel()
+    to_d = cols >= n_k
+
+    def plus(block, values, row, col):
+        """``block`` plus these COO entries in CSC, duplicates summed in that order."""
+        b = block.tocoo()
+        ij = (np.concatenate((b.row, row)), np.concatenate((b.col, col)))
+        return sp.csc_matrix((np.concatenate((b.data, values)), ij), shape=b.shape)
+
+    r = plus(ops.K_FD[n_i:], -vals[to_d], rows[to_d], cols[to_d] - n_k)
     s_factor = None
     if n_k:
-        k_vv = k_v[:, n_i:].tocoo()
-        rows, cols, vals = _vertex_coupling(k_vi, lift)
-        kept = cols < n_k
-        s = sp.csc_matrix(
-            (
-                np.concatenate((k_vv.data, vals[kept])),
-                (np.concatenate((k_vv.row, rows[kept])), np.concatenate((k_vv.col, cols[kept]))),
-            ),
-            shape=(n_k, n_k),
-        )
+        s = plus(k_v[:, n_i:], vals[~to_d], rows[~to_d], cols[~to_d])
         try:
             s_factor = linalg.factor(s, "cholesky")
         except linalg.NotPositiveDefiniteError as exc:
             raise SingularOperatorError(f"operator not coercive: {exc}") from exc
-    return GraphFactor(chain, k_vi, lift, s_factor)
+    return GraphFactor(chain, k_vi, lift, s_factor, r, r.T)
 
 
 @dataclass(frozen=True, eq=False)
 class VertexCondensation:
-    """H = K_FF^{-1} K_FD condensed onto the Kirchhoff vertices, and H^T M_FF H.
+    """The parts of the Woodbury correction that M_FF enters: H^T M_FF and
+    H^T M_FF H, for H = K_FF^{-1} K_FD as the graph factor ``kff`` gives it.
 
-    With the lift [Wf, Zf] and S of the graph factor and R = K_VD - K_VI Z,
-    H s = Zf s + Wf S^{-1} R s = lift [S^{-1} R s; s].  H meets vectors
-    y = [x_I0; 0] + lift [x_V; 0] given by the graph factor's two parts, so
-    M_FF lift is never applied: with B = lift^T M_FF lift,
-    lift^T M_FF y = (M_FF lift)^T [x_I0; 0] + B_V x_V, where ``mass_lift_t``
-    keeps the interior columns of (M_FF lift)^T and ``b_v`` the first n_K
-    columns B_V of B, both in CSR.  ``gram`` is H^T M_FF H =
-    K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
+    H meets vectors y = [x_I0; 0] + lift [x_V; 0] given by the graph
+    factor's two parts, so M_FF lift is never applied: with
+    B = lift^T M_FF lift, lift^T M_FF y = (M_FF lift)^T [x_I0; 0] + B_V x_V,
+    where ``mass_lift_t`` keeps the interior columns of (M_FF lift)^T and
+    ``b_v`` the first n_K columns B_V of B, both in CSR.  ``gram`` is
+    H^T M_FF H = K_FD^T C^{-1} K_FD for C = K_FF M_FF^{-1} K_FF.
     """
 
     mass_lift_t: sp.csr_matrix
     b_v: sp.csr_matrix
-    r: sp.csc_matrix
     kff: GraphFactor
     gram: np.ndarray
-    _r_t: sp.csr_matrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_r_t", self.r.T)
 
     def h_t_mass(self, x_i0, x_v) -> np.ndarray:
         """H^T M_FF y for y = [x_I0; 0] + lift [x_V; 0]."""
         t = linalg.matvec(self.mass_lift_t, x_i0)
         t += linalg.matvec(self.b_v, x_v)
-        return t[x_v.size :] + linalg.matvec(self._r_t, self.kff.vertex_solve(t[: x_v.size]))
-
-    def minus_h(self, x_i0, x_v, s) -> np.ndarray:
-        """y - H s for y = [x_I0; 0] + lift [x_V; 0], with one lift product."""
-        c = np.empty(self.kff.lift.shape[1])
-        np.subtract(x_v, self.kff.vertex_solve(linalg.matvec(self.r, s)), out=c[: x_v.size])
-        np.negative(s, out=c[x_v.size :])
-        return self.kff.join(x_i0, c)
+        return t[x_v.size :] + linalg.matvec(self.kff.r_t, self.kff.vertex_solve(t[: x_v.size]))
 
 
 def _lifted_mass(ops: FeOperators, lift):
@@ -621,39 +618,29 @@ def _lifted_mass(ops: FeOperators, lift):
 
 
 def condense(ops: FeOperators) -> VertexCondensation:
-    """Condensed K_FF^{-1} K_FD and its Gram matrix, from the graph factor of K_FF.
+    """H^T M_FF and the Gram matrix H^T M_FF H, from the graph factor of K_FF.
 
-    R, M_FF lift and B = lift^T M_FF lift are formed edge by edge from the
-    lift's end responses.  The Gram matrix is [Y; I]^T B [Y; I] with
-    Y = S^{-1} R, a block of controls at a time: no K_FF solve, and no dense
-    n_K x n_D array.
+    M_FF lift and B = lift^T M_FF lift are formed edge by edge from the
+    lift's end responses; K enters only through the graph factor's lift, S
+    and R.  The Gram matrix is [Y; I]^T B [Y; I] with Y = S^{-1} R, a block
+    of controls at a time: no K_FF solve, and no dense n_K x n_D array.
     """
     kff = ops.kff_factor()._lu
     n_k, n_i = kff.k_vi.shape
-    n_d = ops.n_dirichlet
-    rows, cols, vals = _vertex_coupling(kff.k_vi, kff.lift)
-    kept = cols >= n_k
-    k_vd = ops.K_FD[n_i:].tocoo()
-    r = sp.csc_matrix(
-        (
-            np.concatenate((k_vd.data, -vals[kept])),
-            (np.concatenate((k_vd.row, rows[kept])), np.concatenate((k_vd.col, cols[kept] - n_k))),
-        ),
-        shape=(n_k, n_d),
-    )
+    n_d = kff.r.shape[1]
     q, b = _lifted_mass(ops, kff.lift)
     # q has the lift's layout, so it is (M_FF lift)^T in CSC; its product
     # runs twice as fast in CSR, once per preconditioner apply
     mass_lift_t = sp.csc_matrix(
         (q.ravel(), kff.lift.indices[: 2 * n_i], kff.lift.indptr[: n_i + 1]), shape=(n_k + n_d, n_i)
     ).tocsr()
-    cond = VertexCondensation(mass_lift_t, b[:, :n_k].tocsr(), r, kff, np.empty((n_d, n_d)))
+    cond = VertexCondensation(mass_lift_t, b[:, :n_k].tocsr(), kff, np.empty((n_d, n_d)))
     b_vv, b_vd, b_dv, b_dd = b[:n_k, :n_k], b[:n_k, n_k:], b[n_k:, :n_k], b[n_k:, n_k:]
     for j in range(0, n_d, 64):  # two S solves per block of 64 controls
         cols = slice(j, min(j + 64, n_d))
-        y = kff.vertex_solve(r[:, cols].toarray())
+        y = kff.vertex_solve(kff.r[:, cols].toarray())
         cond.gram[:, cols] = b_dv @ y + b_dd[:, cols].toarray()
-        cond.gram[:, cols] += r.T @ kff.vertex_solve(b_vv @ y + b_vd[:, cols].toarray())
+        cond.gram[:, cols] += kff.r_t @ kff.vertex_solve(b_vv @ y + b_vd[:, cols].toarray())
     return cond
 
 

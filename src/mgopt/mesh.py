@@ -96,8 +96,8 @@ def interval_end_dofs(mesh: ExtendedMesh) -> tuple[np.ndarray, np.ndarray]:
 
     Intervals are in the column order of the extended incidence matrix
     (edge by edge, counted from the edge tail).  This is the one map from
-    intervals to DOFs; the incidence matrix, the assembly and the
-    prolongation are all built from it.
+    intervals to DOFs; the incidence matrix, the loads, the objective,
+    ``nodal_values`` and the prolongation are built from it.
     """
     n = mesh.n_intervals
     k = _interval_index(mesh)

@@ -27,6 +27,7 @@ from .mesh import nodal_values  # noqa: F401  (mgbench traces this module attrib
 from .pde import discrete_kirchhoff, solve_state
 
 PRECONDITIONER_KINDS = ("none", "ideal", "matched_symmetric", "matched_nonsymmetric")
+ORACLE_CAP = 500  # reduced_oracle's limit on controls, one state solve each
 
 _PRECON_ALIASES = {
     "none": "none",
@@ -259,8 +260,9 @@ def build_preconditioner(
     # q = H^T M_FF y and s = (D_SM + H^T M_FF H)^{-1} q,
     # S^{-1} r3 = K_FF^{-1} M_FF (y - H s).
     # y is kept as the graph factor's two parts, so y - H s is one lift
-    # product (``VertexCondensation``); H comes from the beta-independent
-    # vertex condensation cached on the operators (``assembly.condense``).
+    # product (``GraphFactor.minus_h``, which reads only K); H^T M_FF and
+    # the Gram matrix come from the beta-independent vertex condensation
+    # cached on the operators (``assembly.condense``).
     # A matched-product surrogate (K_FF + N1) M_FF^{-1} (K_FF^T + N2)
     # overshoots S by O(h^-2) on n_D directions and loses both beta- and
     # mesh-robustness, so the exact low-rank form is used instead.
@@ -278,7 +280,7 @@ def build_preconditioner(
         x_i0, x_v = cond.kff.parts(r3)
         q = cond.h_t_mass(x_i0, x_v)
         s = scipy.linalg.cho_solve(cap_fact, q, check_finite=False)
-        return cond.minus_h(x_i0, x_v, s), q, s
+        return cond.kff.minus_h(x_i0, x_v, s), q, s
 
     def apply_nonsym(r):
         out = np.empty_like(r)
@@ -699,7 +701,7 @@ def solve_ocp_assembled(
     return OcpSolution(y=y_fn, u=u.copy(), p=p_fn, stats=stats)
 
 
-def reduced_oracle(graph: MetricGraph, n_e: int, data: ProblemData, cap: int = 500) -> np.ndarray:
+def reduced_oracle(graph: MetricGraph, n_e: int, data: ProblemData) -> np.ndarray:
     """Brute-force control via the dense reduced normal equations.
 
     Builds G_ij = (S e_i, S e_j)_{L2} + beta delta_ij column by column from
@@ -707,13 +709,13 @@ def reduced_oracle(graph: MetricGraph, n_e: int, data: ProblemData, cap: int = 5
     is the state at zero control and ybar's load is ``ops.ybar_vec`` as in
     the KKT right-hand side, then solves the dense n_D x n_D system.
     Independent of the KKT path; intended as a cross-check at small control
-    counts.
+    counts, at most ``ORACLE_CAP`` controls.
     """
     mesh = build_mesh(graph, n_e)
     ops = build_operators(mesh, data)
     n_d = ops.n_dirichlet
-    if n_d > cap:
-        raise ValueError(f"reduced oracle capped at {cap} controls, got {n_d}")
+    if n_d > ORACLE_CAP:
+        raise ValueError(f"reduced oracle capped at {ORACLE_CAP} controls, got {n_d}")
     if n_d == 0:
         return np.zeros(0)
     y_f = solve_state(ops, f_vec=ops.f_vec).y.values

@@ -228,10 +228,30 @@ def test_build_operators_equals_incidence_assembly_on_benchmark_meshes(graph, n_
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(controlled_meshes())
+def test_graph_factor_alone_gives_h(mesh_and_c0):
+    # H = K_FF^{-1} K_FD reads only K, so the graph factor holds it with no
+    # condensation built: -H s is the free part of the state at control s
+    # and no load, and R is K_VD - K_VI K_II^{-1} K_ID, on meshes with
+    # one-interval edges, edges between two controls and c0 = 0
+    mesh, c0 = mesh_and_c0
+    ops = build_operators(mesh, ProblemData(beta=1.0, c0=c0))
+    gf = ops.kff_factor()._lu
+    n_f, n_i = ops.n_free, mesh.n_interior
+    s = np.random.default_rng(n_f).standard_normal(ops.n_dirichlet)
+    expected = solve_state(ops, s).y.values[:n_f]
+    assert np.linalg.norm(gf.minus_h(0, 0, s) - expected) <= 1e-11 * np.linalg.norm(expected)
+    k_ff, k_fd = ops.K_FF.toarray(), ops.K_FD.toarray()
+    r = k_fd[n_i:] - k_ff[n_i:, :n_i] @ np.linalg.solve(k_ff[:n_i, :n_i], k_fd[:n_i])
+    assert np.linalg.norm(gf.r.toarray() - r) <= 1e-11 * np.linalg.norm(r)
+    assert ops._condensation is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(controlled_meshes())
 def test_condensation_matches_harmonic_extension_and_dense_gram(mesh_and_c0):
-    # H = K_FF^{-1} K_FD from the vertex condensation, which keeps it next to
-    # M_FF: column j of M_FF H is M_FF times minus the free part of the
-    # harmonic extension of control j, H^T M_FF is its transpose, and the
+    # H = K_FF^{-1} K_FD from the graph factor, next to M_FF in the vertex
+    # condensation: column j of M_FF H is M_FF times minus the free part of
+    # the harmonic extension of control j, H^T M_FF is its transpose, and the
     # Gram matrix is K_FD^T C^{-1} K_FD with C^{-1} = K_FF^{-1} M_FF K_FF^{-1},
     # on meshes with one-interval edges, edges between two controls and c0 = 0
     mesh, c0 = mesh_and_c0
@@ -242,7 +262,7 @@ def test_condensation_matches_harmonic_extension_and_dense_gram(mesh_and_c0):
     controls = np.eye(n_d)
     # H s is -(y - H s) at y = 0
     zero_i, zero_v = np.zeros(n_i), np.zeros(n_f - n_i)
-    mass_h = ops.M_FF @ np.column_stack([-cond.minus_h(zero_i, zero_v, e) for e in controls])
+    mass_h = ops.M_FF @ np.column_stack([-cond.kff.minus_h(zero_i, zero_v, e) for e in controls])
     extension = np.column_stack([solve_state(ops, e).y.values[:n_f] for e in controls])
     expected_mass_h = -(ops.M_FF @ extension)
     assert np.linalg.norm(mass_h - expected_mass_h) <= 1e-11 * np.linalg.norm(expected_mass_h)
@@ -329,6 +349,9 @@ def test_problem_data_validation():
         (dict(beta=1.0, c0=np.array([1.0, np.nan])), "c0 must be finite, got nan on edge 1"),
         (dict(beta=1.0, f=np.nan), "f must be finite, got nan"),
         (dict(beta=1.0, ybar=np.array([0.0, 1.0, -np.inf])), "ybar must be finite, got -inf on edge 2"),
+        # only f and ybar are sampled; c0 and beta are constants
+        (dict(beta=1.0, c0=lambda e, x: x), "c0 cannot be a sampler: only f and ybar are sampled"),
+        (dict(beta=lambda e, x: x), "beta cannot be a sampler: only f and ybar are sampled"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ProblemData(**kwargs)

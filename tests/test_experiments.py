@@ -219,6 +219,28 @@ def test_iteration_study_factors_kff_once_per_mesh(monkeypatch, jobs):
     assert superlu_kff == []
 
 
+def test_coercivity_is_searched_once_per_operator_set(monkeypatch):
+    # solve_kkt checks coercivity for every preconditioner kind, and so does
+    # the first kff_factor(); a sweep checks once per beta.  The graph is
+    # searched once per operators, and every later check looks it up
+    searches = []
+    search = assembly.floating_components
+    monkeypatch.setattr(
+        assembly, "floating_components", lambda mesh, c0: searches.append(mesh) or search(mesh, c0)
+    )
+    graph = make_star(4)
+    data = ProblemData(beta=1e-2, c0=2.0, f=1.5, ybar=1.0)
+    for solver, precon in (("gmres", "nonsym"), ("minres", "sym")):
+        searches.clear()
+        assert solve_ocp(graph, 8, data, solver, precon).stats.converged
+        assert len(searches) == 1
+    searches.clear()
+    cfg = StudyConfig(graph=graph, betas=(1e-2, 1e-3, 1e-4, 1e-5), ne_values=(8,),
+                      include_unpreconditioned=False)
+    assert all(c.iterations is not None for c in iteration_study(cfg).cells)
+    assert len(searches) == 1
+
+
 def test_iteration_study_cells_stay_beta_major():
     cfg = StudyConfig(graph=make_star(4), betas=(1e-2, 1e-3), ne_values=(4, 2),
                       include_unpreconditioned=False)

@@ -254,8 +254,8 @@ def _applies_as_scipy_expressions(ops, beta):
         # s = (D_SM + gram)^{-1} H^T M_FF y
         x_i0, x_v = kff_parts(r[n_f + n_d :])
         t = cond.mass_lift_t @ x_i0 + cond.b_v @ x_v
-        s = scipy.linalg.cho_solve(cap, t[n_k:] + cond.r.T @ gf.vertex_solve(t[:n_k]))
-        u = join(x_i0, np.concatenate([x_v - gf.vertex_solve(cond.r @ s), -s]))
+        s = scipy.linalg.cho_solve(cap, t[n_k:] + gf.r.T @ gf.vertex_solve(t[:n_k]))
+        u = join(x_i0, np.concatenate([x_v - gf.vertex_solve(gf.r @ s), -s]))
         return np.concatenate(head(r) + [kff_solve(ops.M_FF @ u)])
 
     return kkt, sym, nonsym
@@ -999,10 +999,11 @@ def test_reduced_oracle_beta_limit():
 
 
 def test_reduced_oracle_cap():
-    g = make_star(12)
+    # 501 controls on about 1,000 DOFs: refused before any solve
+    g = make_star(501)
     data = ProblemData(beta=1.0)
-    with pytest.raises(ValueError, match="capped"):
-        reduced_oracle(g, 2, data, cap=5)
+    with pytest.raises(ValueError, match="capped at 500 controls, got 501"):
+        reduced_oracle(g, 2, data)
 
 
 def test_iteration_counts_mesh_robust():
