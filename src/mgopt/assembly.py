@@ -76,6 +76,9 @@ class _Pattern:
     counts and the unpreconditioned GMRES counts follow the last bits of K,
     M and the loads (sorting M's columns moves 75 to 155 vertex entries of
     ``ybar_vec`` on the benchmark meshes).
+
+    ``build_operators`` holds one on the mesh while it assembles and drops
+    it when done; any other ``assemble_*`` call builds its own.
     """
 
     def __init__(self, mesh: ExtendedMesh):
@@ -194,9 +197,10 @@ class _Block:
         self.indptr = np.zeros(len(counts) + 1, dtype=np.int32)
         np.cumsum(counts, out=self.indptr[1:])
 
-    def of(self, full: sp.csr_matrix, copy: bool = True):
+    def of(self, full: sp.csr_matrix, copy: bool):
         """The block of the operator ``full``; with ``copy=False`` it takes
-        this block's own index arrays, which no later block may then share."""
+        this block's own index arrays, shared by every block so taken, which
+        none of them may then change in place."""
         indices, indptr = self.indices, self.indptr
         if copy:
             indices, indptr = indices.copy(), indptr.copy()
@@ -204,10 +208,10 @@ class _Block:
 
 
 def _pattern(mesh: ExtendedMesh) -> _Pattern:
-    """The mesh's operator pattern, built on first use and kept on the mesh:
-    build_operators assembles three operators on it."""
+    """The mesh's operator pattern: the one build_operators holds on the mesh
+    while it assembles three operators on it, else a new one, not kept."""
     if mesh._operator_pattern is None:
-        mesh._operator_pattern = _Pattern(mesh)
+        return _Pattern(mesh)
     return mesh._operator_pattern
 
 
@@ -216,7 +220,7 @@ def assemble_stiffness(mesh: ExtendedMesh) -> sp.csr_matrix:
 
     Every interval adds 1/h_e to the diagonal at both its ends and -1/h_e
     between them; stored on the mesh's operator pattern (``_Pattern``),
-    which is built on the first call for a mesh and kept while it lives.
+    which each call builds anew outside ``build_operators``.
     """
     pattern = _pattern(mesh)
     w = 1.0 / mesh.h_per_edge
@@ -262,6 +266,15 @@ def assemble_load(mesh: ExtendedMesh, g, mass=None) -> np.ndarray:
     return np.bincount(tail_dof, w * (2.0 * tail + head), mesh.n_dof) + np.bincount(
         head_dof, w * (tail + 2.0 * head), mesh.n_dof
     )
+
+
+def l2_inner(mass: sp.csr_matrix, a, b) -> float:
+    """(a, b)_{L2} of nodal values a and b, given the mass matrix."""
+    return float(np.asarray(a) @ (mass @ np.asarray(b)))
+
+
+def l2_norm(mass: sp.csr_matrix, v) -> float:
+    return float(np.sqrt(max(l2_inner(mass, v, v), 0.0)))
 
 
 def l2_distance_sq(mesh: ExtendedMesh, y, g) -> float:
@@ -318,11 +331,13 @@ class FeOperators:
     K = A + M_c0 and M are symmetric: their DF blocks are ``K_FD.T`` and
     ``M_FD.T``.  The FD blocks are kept in CSC, so both ``K_FD`` and its
     transpose multiply by looping over the n_D controls, not the n_f free nodes.
+    M is kept as its three blocks only (``assemble_mass`` gives it whole);
+    K_FF and K_FD share their index arrays with M_FF and M_FD unless an
+    entry of K cancels to zero.
     """
 
     mesh: ExtendedMesh
     data: ProblemData
-    M: sp.csr_matrix
     K: sp.csr_matrix
     K_FF: sp.csr_matrix
     K_FD: sp.csc_matrix
@@ -386,12 +401,6 @@ class FeOperators:
             d_m = self.M_FF.diagonal()
             self._mass_diagonal = (d_m, self.M_FD.T @ sp.diags(1.0 / d_m) @ self.M_FD)
         return self._mass_diagonal
-
-    def l2_inner(self, a, b) -> float:
-        return float(np.asarray(a) @ (self.M @ np.asarray(b)))
-
-    def l2_norm(self, v) -> float:
-        return float(np.sqrt(max(self.l2_inner(v, v), 0.0)))
 
 
 def floating_components(mesh: ExtendedMesh, c0) -> list[np.ndarray]:
@@ -645,25 +654,31 @@ def condense(ops: FeOperators) -> VertexCondensation:
 
 
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
-    """Assemble M, K = A + M_c0 (neither term kept), their blocks, and the loads.
+    """Assemble K = A + M_c0 (neither term kept), its and M's blocks, and the loads.
 
     A and M_c0 share the mesh's pattern, so K is their sum entry by entry;
     an entry that cancels to zero is not stored, as in a sparse sum.  The
-    blocks are taken from K and M at positions found along the edge chains.
+    blocks are taken from K and M at positions found along the edge chains,
+    and a K block takes its M block's index arrays unless K lost an entry.
+    The pattern is kept on the mesh only while this call assembles on it.
     """
-    m = assemble_mass(mesh)
-    k = assemble_stiffness(mesh)
-    k.data += assemble_mass(mesh, data.c0).data
-    blocks = _pattern(mesh).blocks(mesh)
-    k_ff, k_fd = (block.of(k) for block in blocks[:2])
+    mesh._operator_pattern = pattern = _Pattern(mesh)
+    try:
+        m = assemble_mass(mesh)
+        k = assemble_stiffness(mesh)
+        k.data += assemble_mass(mesh, data.c0).data
+        blocks = pattern.blocks(mesh)
+    finally:
+        mesh._operator_pattern = None
     m_ff, m_fd, m_dd = (block.of(m, copy=False) for block in blocks)
-    if not k.data.all():
+    cancels = not k.data.all()
+    k_ff, k_fd = (block.of(k, copy=cancels) for block in blocks[:2])
+    if cancels:
         for mat in (k, k_ff, k_fd):
             mat.eliminate_zeros()
     return FeOperators(
         mesh=mesh,
         data=data,
-        M=m,
         K=k,
         K_FF=k_ff,
         K_FD=k_fd,

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import ProblemData, assemble_stiffness, build_operators
+from .assembly import ProblemData, assemble_mass, assemble_stiffness, build_operators, l2_norm
 from .graphs import (
     MetricGraph,
     load_graph_json,
@@ -90,6 +90,9 @@ class StudyConfig:
         repeated = sorted({k for k in self.ne_values if self.ne_values.count(k) > 1})
         if repeated:
             raise ValueError(f"repeated levels in the sweep: {', '.join(map(str, repeated))}")
+        repeated = sorted({b for b in self.betas if self.betas.count(b) > 1})
+        if repeated:
+            raise ValueError(f"repeated betas in the sweep: {', '.join(f'{b:g}' for b in repeated)}")
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
         if self.jobs < 1:
@@ -246,7 +249,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     data = cfg.problem_data(beta)
     ref_mesh = build_mesh(cfg.graph, ref_ne)
     ref_ops = build_operators(ref_mesh, data)
-    ref_stiffness = assemble_stiffness(ref_mesh)
+    ref_stiffness, ref_mass = assemble_stiffness(ref_mesh), assemble_mass(ref_mesh)
     ref_sol = solve_ocp_assembled(
         ref_ops, data, solver=cfg.solver, precon=cfg.precon, tol=cfg.tol, max_it=cfg.max_it
     )
@@ -265,7 +268,7 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
             )
         err_u = float(np.linalg.norm(ref_sol.u - sol.u))
         e = ref_sol.y.values - prolong(sol.y, ref_mesh).values
-        l2 = ref_ops.l2_norm(e)
+        l2 = l2_norm(ref_mass, e)
         semi = float(np.sqrt(max(e @ (ref_stiffness @ e), 0.0)))
         records.append(
             ConvergenceRecord(
@@ -357,11 +360,12 @@ def eig_probe(cfg: StudyConfig) -> EigProbeResult:
 
 
 def dump_matrices(ops, directory) -> None:
-    """Write A (assembled here; the operators do not keep it), M and K to
-    MatrixMarket files for external verification."""
+    """Write A and M (assembled here; the operators keep neither whole) and
+    K to MatrixMarket files for external verification."""
     import scipy.io  # here, not at import: only this writer needs it
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, mat in (("A", assemble_stiffness(ops.mesh)), ("M", ops.M), ("K", ops.K)):
+    mats = (("A", assemble_stiffness(ops.mesh)), ("M", assemble_mass(ops.mesh)), ("K", ops.K))
+    for name, mat in mats:
         scipy.io.mmwrite(str(directory / f"{name}.mtx"), sp.coo_matrix(mat))

@@ -17,7 +17,8 @@ class ExtendedMesh:
     edge), then Kirchhoff vertices, then Dirichlet vertices, both in ascending
     vertex order.  Interior node (e, j) sits at arc length j*h_e from the tail
     of edge e.  Instances are immutable after construction, but for the
-    operator pattern that ``assembly`` caches on them.
+    operator pattern that ``assembly.build_operators`` holds on them while it
+    assembles.
     """
 
     def __init__(self, graph: MetricGraph, n_intervals):
@@ -45,8 +46,8 @@ class ExtendedMesh:
         # the DOFs of every edge's tail and head vertex, one row per edge
         self.end_dofs = vertex_dof[np.asarray(graph.edges, dtype=int).reshape(-1, 2)]
         self.n_dof = self.n_interior + graph.n_vertices
-        # the sparse storage that ``assembly`` builds every operator on,
-        # built there on first use and kept for the mesh's lifetime
+        # the sparse storage that ``assembly`` builds every operator on, set
+        # only while ``build_operators`` assembles its three operators on it
         self._operator_pattern = None
 
     @property

@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import linalg
-from .assembly import FeOperators, ProblemData, build_operators, l2_distance_sq
+from .assembly import FeOperators, ProblemData, assemble_mass, build_operators, l2_distance_sq
 from .graphs import MetricGraph
 from .mesh import PiecewiseLinearFunction, build_mesh
 from .mesh import nodal_values  # noqa: F401  (mgbench traces this module attribute)
@@ -720,6 +720,7 @@ def reduced_oracle(graph: MetricGraph, n_e: int, data: ProblemData) -> np.ndarra
         return np.zeros(0)
     y_f = solve_state(ops, f_vec=ops.f_vec).y.values
     columns = np.column_stack([solve_state(ops, e).y.values for e in np.eye(n_d)])
-    gram = columns.T @ (ops.M @ columns) + data.beta * np.eye(n_d)
-    rhs = columns.T @ (ops.ybar_vec - ops.M @ y_f)
+    mass = assemble_mass(mesh)
+    gram = columns.T @ (mass @ columns) + data.beta * np.eye(n_d)
+    rhs = columns.T @ (ops.ybar_vec - mass @ y_f)
     return scipy.linalg.solve(gram, rhs, assume_a="pos")

@@ -49,8 +49,9 @@ def discrete_kirchhoff(ops: FeOperators, p, source) -> np.ndarray:
     """Variational vertex fluxes of p at the Dirichlet nodes.
 
     Evaluates a(phi_v, p) - (source, phi_v) for every Dirichlet vertex v,
-    which in the nodal basis is the Dirichlet rows of K p - M source.
-    p must vanish at the Dirichlet DOFs.
+    which in the nodal basis is the Dirichlet rows of K p - M source, formed
+    from K's Dirichlet rows and M's blocks.  p must vanish at the Dirichlet
+    DOFs.
     """
     pv = _values(p)
     sv = _values(source)
@@ -59,4 +60,4 @@ def discrete_kirchhoff(ops: FeOperators, p, source) -> np.ndarray:
     scale = np.abs(pv).max() if pv.size else 0.0
     if p_d.size and np.abs(p_d).max() > 1e-10 * max(scale, 1.0):
         raise ValueError("p must vanish at the Dirichlet DOFs")
-    return (ops.K @ pv - ops.M @ sv)[nf:]
+    return ops.K[nf:] @ pv - (ops.M_FD.T @ sv[:nf] + ops.M_DD @ sv[nf:])

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from mgopt.assembly import assemble_load
+from mgopt.assembly import assemble_load, assemble_mass
 from mgopt.graphs import MetricGraph
 from mgopt.mesh import ExtendedMesh, PiecewiseLinearFunction, extended_incidence
 
@@ -122,9 +122,9 @@ def partition_blocks(matrix, mesh):
 
 
 def incidence_operators(mesh, data):
-    """Every array of ``build_operators(mesh, data)`` from the incidence-matrix
-    assembly: M, K = A + M_c0 as scipy sums them, the blocks by slicing, and
-    the loads, scalar ones as M times the constant.
+    """Every array of ``build_operators(mesh, data)``, and M, from the
+    incidence-matrix assembly: M, K = A + M_c0 as scipy sums them, the blocks
+    by slicing, and the loads, scalar ones as M times the constant.
 
     ``build_operators`` must equal these to the last bit and in storage
     order, since MINRES and unpreconditioned GMRES counts follow the bits.
@@ -144,9 +144,10 @@ def incidence_operators(mesh, data):
 
 def assert_same_arrays(ops, expected):
     """Each matrix of ``ops`` in the same format and with equal indptr,
-    indices and data as in ``expected``; each vector equal."""
+    indices and data as in ``expected``; each vector equal.  M, which ``ops``
+    keeps as its blocks only, is assembled on the mesh."""
     for name, want in expected.items():
-        got = getattr(ops, name)
+        got = assemble_mass(ops.mesh) if name == "M" else getattr(ops, name)
         if sp.issparse(want):
             assert got.format == want.format, name
             for part in ("indptr", "indices", "data"):
@@ -181,7 +182,7 @@ def solve_adjoint(ops, source):
     """
     nf = ops.n_free
     out = np.zeros(ops.mesh.n_dof)
-    out[:nf] = ops.kff_factor().solve((ops.M @ source)[:nf])
+    out[:nf] = ops.kff_factor().solve((assemble_mass(ops.mesh) @ source)[:nf])
     return PiecewiseLinearFunction(ops.mesh, out)
 
 

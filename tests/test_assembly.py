@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mgopt.assembly import (
     ProblemData,
@@ -175,7 +176,7 @@ def test_partition_transpose_consistency():
     ops = build_operators(mesh, ProblemData(beta=1.0, c0=1.0))
     nf = mesh.n_free
     # the DF block callers read as fd.T, and the blocks cover the operator
-    for full, ff, fd, dd in ((ops.K, ops.K_FF, ops.K_FD, None), (ops.M, ops.M_FF, ops.M_FD, ops.M_DD)):
+    for full, ff, fd, dd in ((ops.K, ops.K_FF, ops.K_FD, None), (assemble_mass(mesh), ops.M_FF, ops.M_FD, ops.M_DD)):
         assert (full[nf:, :nf] - fd.T).count_nonzero() == 0
         assert (full[:nf, :nf] - ff).count_nonzero() == 0
         assert dd is None or (full[nf:, nf:] - dd).count_nonzero() == 0
@@ -197,6 +198,8 @@ def test_formula_matches_elementwise_assembly(mesh_and_c0):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(assembly_meshes())
+# h = 1 and c0 = 6: every off-diagonal of K cancels, in K_FF and in K_FD
+@example((ExtendedMesh(MetricGraph(2, ((0, 1),), np.array([2.0]), (1,)), [2]), 6.0, (1.5, 1.5)))
 def test_build_operators_equals_incidence_assembly_bit_for_bit(mesh_c0_loads):
     # K, M, the five blocks and both loads, assembled edge by edge on one
     # pattern, equal the incidence-matrix products, sums and slices in
@@ -206,7 +209,17 @@ def test_build_operators_equals_incidence_assembly_bit_for_bit(mesh_c0_loads):
     # per-edge and sampled loads
     mesh, c0, (f, ybar) = mesh_c0_loads
     data = ProblemData(beta=1.0, c0=c0, f=f, ybar=ybar)
-    assert_same_arrays(build_operators(mesh, data), incidence_operators(mesh, data))
+    ops = build_operators(mesh, data)
+    assert_same_arrays(ops, incidence_operators(mesh, data))
+    # K_FF and K_FD take M_FF's and M_FD's index arrays, unless an entry of
+    # K cancels: then they hold their own and M's blocks keep theirs
+    # (compared above); the mesh holds no pattern once assembly is done
+    cancels = ops.K.nnz < assemble_stiffness(mesh).nnz
+    for k_block, m_block in ((ops.K_FF, ops.M_FF), (ops.K_FD, ops.M_FD)):
+        for part in ("indices", "indptr"):
+            k_part, m_part = getattr(k_block, part), getattr(m_block, part)
+            assert np.shares_memory(k_part, m_part) == (not cancels and k_part.size > 0)
+    assert mesh._operator_pattern is None
 
 
 @pytest.mark.parametrize(
@@ -224,6 +237,36 @@ def test_build_operators_equals_incidence_assembly_on_benchmark_meshes(graph, n_
     data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
     mesh = build_mesh(graph, n_e)
     assert_same_arrays(build_operators(mesh, data), incidence_operators(mesh, data))
+
+
+def held_bytes(ops) -> int:
+    """Bytes of the distinct buffers that ``ops`` and its mesh's operator
+    pattern hold, each counted once however many arrays view it."""
+    pattern = ops.mesh._operator_pattern
+    arrays = []
+    for value in (*vars(ops).values(), *(vars(pattern).values() if pattern else ())):
+        if sp.issparse(value):
+            arrays += [value.data, value.indices, value.indptr]
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
+def test_operators_are_held_once_on_the_minres_benchmark_mesh():
+    # the minres-L20 seed-0 mesh (71,420 DOFs): no full M, one FF and one
+    # FD index pattern for K and M, no operator pattern kept on the mesh;
+    # 13.1 MiB when M, separate K block indices and the pattern were held
+    mesh = build_mesh(make_fdm_L_graph(20, n_controls=40, seed=0), 128)
+    ops = build_operators(mesh, ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0))
+    assert held_bytes(ops) <= 8.5 * 2**20
+    for k_block, m_block in ((ops.K_FF, ops.M_FF), (ops.K_FD, ops.M_FD)):
+        assert np.shares_memory(k_block.indices, m_block.indices)
+        assert np.shares_memory(k_block.indptr, m_block.indptr)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -317,7 +360,7 @@ def test_operators_symmetric_exactly():
     mesh = build_mesh(random_metric_graph(rng), 5)
     data = ProblemData(beta=0.5, c0=2.0, f=1.0, ybar=1.0)
     ops = build_operators(mesh, data)
-    for mat in (assemble_stiffness(mesh), ops.M, assemble_mass(mesh, data.c0), ops.K):
+    for mat in (assemble_stiffness(mesh), assemble_mass(mesh), assemble_mass(mesh, data.c0), ops.K):
         assert abs(mat - mat.T).max() == 0.0
 
 

@@ -152,6 +152,7 @@ def test_convergence_study_cli(tmp_path, capsys):
     (["convergence-study", "--ne", "4,4"], "repeated levels in the sweep: 4"),
     (["convergence-study", "--ne", "0,4"], "intervals per edge must be at least 1, got 0"),
     (["iteration-study", "--ne", "4,4"], "repeated levels in the sweep: 4"),
+    (["iteration-study", "--ne", "4,8", "--beta", "1e-2,0.01"], "repeated betas in the sweep: 0.01"),
 ])
 def test_convergence_study_bad_sweep_is_reported(capsys, args, message):
     code = cli_main([*args, "--graph", "star:3"])

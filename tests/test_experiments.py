@@ -98,6 +98,9 @@ def test_study_config_validation():
     # every study rejects a repeated level, not only the convergence study
     with pytest.raises(ValueError, match="repeated levels in the sweep: 4$"):
         StudyConfig(graph=g, ne_values=(4, 8, 4))
+    # and a repeated beta, however it is written
+    with pytest.raises(ValueError, match="repeated betas in the sweep: 0.01$"):
+        StudyConfig(graph=g, betas=(1e-2, 1e-3, 0.01))
 
 
 def test_iteration_study_shape_and_csv(tmp_path):

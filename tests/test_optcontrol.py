@@ -14,6 +14,7 @@ from mgopt.assembly import (
     GraphFactor,
     ProblemData,
     SingularOperatorError,
+    assemble_mass,
     build_operators,
 )
 from mgopt.graphs import MetricGraph, make_fdm_L_graph, make_path, make_star
@@ -983,7 +984,7 @@ def test_reduced_oracle_single_control_closed_form():
     s[ops.n_free :] = 1.0
     y_f = np.zeros(mesh.n_dof)
     y_f[: ops.n_free] = np.linalg.solve(kff, ops.f_F)
-    m = ops.M.toarray()
+    m = assemble_mass(mesh).toarray()
     gram = s @ (m @ s) + data.beta
     rhs = (nodal_values(mesh, data.ybar) - y_f) @ (m @ s)
     assert abs(u[0] - rhs / gram) <= 1e-10 * max(abs(u[0]), 1.0)
