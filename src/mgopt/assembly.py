@@ -197,14 +197,11 @@ class _Block:
         self.indptr = np.zeros(len(counts) + 1, dtype=np.int32)
         np.cumsum(counts, out=self.indptr[1:])
 
-    def of(self, full: sp.csr_matrix, copy: bool):
-        """The block of the operator ``full``; with ``copy=False`` it takes
-        this block's own index arrays, shared by every block so taken, which
-        none of them may then change in place."""
-        indices, indptr = self.indices, self.indptr
-        if copy:
-            indices, indptr = indices.copy(), indptr.copy()
-        return self.fmt((full.data[self.take], indices, indptr), shape=self.shape)
+    def of(self, full: sp.csr_matrix):
+        """The block of the operator ``full``.  It takes this block's own
+        index arrays, shared by every block so taken, which none of them may
+        then change in place."""
+        return self.fmt((full.data[self.take], self.indices, self.indptr), shape=self.shape)
 
 
 def _pattern(mesh: ExtendedMesh) -> _Pattern:
@@ -331,9 +328,9 @@ class FeOperators:
     K = A + M_c0 and M are symmetric: their DF blocks are ``K_FD.T`` and
     ``M_FD.T``.  The FD blocks are kept in CSC, so both ``K_FD`` and its
     transpose multiply by looping over the n_D controls, not the n_f free nodes.
-    M is kept as its three blocks only (``assemble_mass`` gives it whole);
-    K_FF and K_FD share their index arrays with M_FF and M_FD unless an
-    entry of K cancels to zero.
+    M is kept as its three blocks only (``assemble_mass`` gives it whole).
+    K has M's pattern, an exact cancellation kept as a stored zero, and
+    K_FF and K_FD share their index arrays with M_FF and M_FD.
     """
 
     mesh: ExtendedMesh
@@ -386,7 +383,7 @@ class FeOperators:
         """Cached graph factorization of K_FF (see ``GraphFactor``), shared by all solves."""
         if self._kff is None:
             self.require_coercive()
-            self._kff = linalg.Factorization("graph", self.n_free, factor_graph(self))
+            self._kff = linalg.Factorization(self.n_free, factor_graph(self))
         return self._kff
 
     def condensation(self) -> VertexCondensation:
@@ -656,11 +653,12 @@ def condense(ops: FeOperators) -> VertexCondensation:
 def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
     """Assemble K = A + M_c0 (neither term kept), its and M's blocks, and the loads.
 
-    A and M_c0 share the mesh's pattern, so K is their sum entry by entry;
-    an entry that cancels to zero is not stored, as in a sparse sum.  The
-    blocks are taken from K and M at positions found along the edge chains,
-    and a K block takes its M block's index arrays unless K lost an entry.
-    The pattern is kept on the mesh only while this call assembles on it.
+    A and M_c0 share the mesh's pattern, so K is their sum entry by entry
+    and has M's pattern; an entry that cancels exactly (-1/h + c0 h/6 = 0)
+    stays stored as a zero.  The blocks are taken from K and M at positions
+    found along the edge chains, and each K block takes its M block's index
+    arrays.  The pattern is kept on the mesh only while this call assembles
+    on it.
     """
     mesh._operator_pattern = pattern = _Pattern(mesh)
     try:
@@ -670,12 +668,8 @@ def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
         blocks = pattern.blocks(mesh)
     finally:
         mesh._operator_pattern = None
-    m_ff, m_fd, m_dd = (block.of(m, copy=False) for block in blocks)
-    cancels = not k.data.all()
-    k_ff, k_fd = (block.of(k, copy=cancels) for block in blocks[:2])
-    if cancels:
-        for mat in (k, k_ff, k_fd):
-            mat.eliminate_zeros()
+    m_ff, m_fd, m_dd = (block.of(m) for block in blocks)
+    k_ff, k_fd = (block.of(k) for block in blocks[:2])
     return FeOperators(
         mesh=mesh,
         data=data,

@@ -3,8 +3,8 @@
 Matrices are scipy CSR/CSC throughout.  ``factor`` makes complete SuperLU
 decompositions with fill-reducing orderings, computed once and reused.
 ``K_FF`` is not factored here: ``assembly.factor_graph`` factors it along
-the graph, and ``Factorization`` kind ``"graph"`` wraps that solver, so
-every full solve goes through ``Factorization.solve``; only the
+the graph, and a ``Factorization`` wraps that solver too, so every full
+solve goes through ``Factorization.solve``; only the
 nonsymmetric preconditioner's Woodbury correction reads the graph
 factor's chain and vertex parts (``GraphFactor.parts``) directly.  ``matvec``
 is the one sparse matrix-vector product the Krylov loops call.
@@ -55,10 +55,9 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """Sparse factorization handle: SPD Cholesky-mode or general LU from
-    ``factor``, or ``"graph"`` around any solver object with a ``solve`` method."""
+    """Sparse factorization handle around any solver object with a ``solve``
+    method: SuperLU's from ``factor``, or the graph factor of K_FF."""
 
-    kind: str
     n: int
     _lu: object
 
@@ -107,5 +106,5 @@ def factor(a, kind: str = "cholesky") -> Factorization:
             raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
     else:
         raise ValueError(f"unknown factorization kind {kind!r}")
-    return Factorization(kind, a.shape[0], lu)
+    return Factorization(a.shape[0], lu)
 

@@ -325,15 +325,27 @@ class KrylovResult:
     stop_residual: float
 
 
-def _require_stop(tol: float, max_it: int, b_norm: float) -> None:
-    # a tolerance of 0, below 0 or NaN is never met, nor is any tolerance on a
-    # right-hand side that is not finite: the run would go to the cap
+def _krylov_inputs(b, apply_p_inv, tol: float, max_it: int | None):
+    """b as floats, its norm, the preconditioner apply (the identity if None)
+    and the iteration cap (the dimension if None), for GMRES and MINRES.
+
+    A tolerance of 0, below 0 or NaN is never met, nor is any tolerance on a
+    right-hand side that is not finite: such a run would go to the cap, so
+    it raises ValueError, as a negative cap does.
+    """
+    b = np.asarray(b, dtype=float)
+    if apply_p_inv is None:
+        apply_p_inv = lambda q: q
+    if max_it is None:
+        max_it = b.size
+    b_norm = float(np.linalg.norm(b))
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_it < 0:
         raise ValueError(f"iteration cap must be at least 0, got {max_it}")
     if not np.isfinite(b_norm):
         raise ValueError(f"right-hand side must be finite, got norm {b_norm}")
+    return b, b_norm, apply_p_inv, max_it
 
 
 def gmres(
@@ -346,31 +358,25 @@ def gmres(
     terminates as soon as ||b - A x|| <= tol ||b||.  Each Arnoldi step makes
     one call of ``apply_ap``, the product A P^{-1} (by default ``apply_a``
     after ``apply_p_inv``); a preconditioner may supply it as one operator
-    that saves work the two applies repeat.  The solution is formed as
-    x = P^{-1} (V y) from the one Krylov basis V and checked with
+    that saves work the two applies repeat.  A candidate solution is formed
+    as x = P^{-1} (V y) from the one Krylov basis V and checked with
     ``apply_a``, so ``apply_p_inv`` must be the same linear map at every
-    step.  The iteration count is the number of Arnoldi steps; the residual
-    history holds the relative residual after each step.
+    step.  Candidates are checked at one place in the loop: when the
+    recurrence residual meets the target, on breakdown, and at the last
+    step the cap allows; the best one checked is returned.  The iteration
+    count is the number of Arnoldi steps; the residual history holds the
+    relative residual after each step.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.size
+    b, b_norm, p_inv, max_it = _krylov_inputs(b, apply_p_inv, tol, max_it)
     if apply_ap is None:
-        if apply_p_inv is None:
-            apply_ap = apply_a
-        else:
-            apply_ap = lambda q: apply_a(np.asarray(apply_p_inv(q), dtype=float))
-    if apply_p_inv is None:
-        apply_p_inv = lambda q: q
-    if max_it is None:
-        max_it = n
-    b_norm = float(np.linalg.norm(b))
-    _require_stop(tol, max_it, b_norm)
+        apply_ap = apply_a if apply_p_inv is None else lambda q: apply_a(np.asarray(p_inv(q), dtype=float))
+    n = b.size
     k_max = min(max_it, n)
     if b_norm == 0.0:
         return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
     residuals = [1.0]
-    if residuals[0] <= tol:
-        return KrylovResult(np.zeros(n), 0, True, np.array(residuals), 1.0, 1.0)
+    if k_max == 0 or residuals[0] <= tol:  # x = 0 is the only candidate
+        return KrylovResult(np.zeros(n), 0, residuals[0] <= tol, np.array(residuals), 1.0, 1.0)
 
     # Only written basis columns are read.  np.empty keeps the unused ones out
     # of the resident set; np.zeros clears all of them when the allocator
@@ -394,9 +400,8 @@ def gmres(
         for j, col in enumerate(r_cols):
             r[: j + 1, j] = col
         y = scipy.linalg.solve_triangular(r, g[:k], check_finite=False)
-        return np.asarray(apply_p_inv(v[:, :k] @ y), dtype=float)
+        return np.asarray(p_inv(v[:, :k] @ y), dtype=float)
 
-    converged = False
     x = None
     true_res = None
     # The recurrence residual equals the true residual only in exact
@@ -437,26 +442,17 @@ def gmres(
         rel = abs(g[k + 1]) / b_norm
         residuals.append(rel)
         breakdown = h_next <= 1e-14 * b_norm
-        if rel <= target or breakdown:
+        if rel <= target or breakdown or k == k_max - 1:
             cand = form_solution()
             cand_res = float(np.linalg.norm(b - np.asarray(apply_a(cand))) / b_norm)
             if true_res is None or cand_res < true_res:
                 x, true_res = cand, cand_res
-            if cand_res <= tol:
-                converged = True
-                break
-            if breakdown:
+            if cand_res <= tol or breakdown:
                 break
             target = min(target, rel) / 4.0
         np.divide(w, h_next, out=v[:, k + 1])
 
-    if not converged:
-        final = form_solution()
-        final_res = float(np.linalg.norm(b - np.asarray(apply_a(final))) / b_norm)
-        if true_res is None or final_res < true_res:
-            x, true_res = final, final_res
-        converged = true_res <= tol
-    return KrylovResult(x, len(r_cols), converged, np.array(residuals), true_res, true_res)
+    return KrylovResult(x, len(r_cols), true_res <= tol, np.array(residuals), true_res, true_res)
 
 
 def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
@@ -467,14 +463,8 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
     iteration stops once the preconditioned relative residual drops below
     tol, and the true unpreconditioned residual is reported alongside.
     """
-    b = np.asarray(b, dtype=float)
+    b, b_norm, apply_p_inv, max_it = _krylov_inputs(b, apply_p_inv, tol, max_it)
     n = b.size
-    if apply_p_inv is None:
-        apply_p_inv = lambda q: q
-    if max_it is None:
-        max_it = n
-    b_norm = float(np.linalg.norm(b))
-    _require_stop(tol, max_it, b_norm)
 
     rng = np.random.default_rng(12345)
     vp = rng.standard_normal(n)
@@ -573,8 +563,6 @@ class SolveStats:
     optimality_residual: float
     objective: float
     elapsed: float
-    solver: str
-    precon: str
 
 
 @dataclass(eq=False)
@@ -678,7 +666,7 @@ def solve_ocp_assembled(
     the objective and the optimality defect are those at ``data.beta``.
     """
     t0 = time.perf_counter()
-    result, kkt, pc = solve_kkt(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)
+    result, kkt, _ = solve_kkt(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)
     mesh = ops.mesh
     y_f, u, p_flipped = kkt.split(result.x)
     y = np.concatenate([y_f, u])
@@ -695,8 +683,6 @@ def solve_ocp_assembled(
         optimality_residual=optimality_residual(at_beta, y_fn, u, p_fn),
         objective=objective_value(at_beta, y, u),
         elapsed=time.perf_counter() - t0,
-        solver=solver,
-        precon=pc.kind,
     )
     return OcpSolution(y=y_fn, u=u.copy(), p=p_fn, stats=stats)
 

@@ -142,16 +142,21 @@ def incidence_operators(mesh, data):
     }
 
 
+def assert_same_matrix(got, want, name):
+    """The same format and equal indptr, indices and data."""
+    assert got.format == want.format, name
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+
+
 def assert_same_arrays(ops, expected):
-    """Each matrix of ``ops`` in the same format and with equal indptr,
-    indices and data as in ``expected``; each vector equal.  M, which ``ops``
-    keeps as its blocks only, is assembled on the mesh."""
+    """Each matrix of ``ops`` the same as in ``expected`` (``assert_same_matrix``);
+    each vector equal.  M, which ``ops`` keeps as its blocks only, is
+    assembled on the mesh."""
     for name, want in expected.items():
         got = assemble_mass(ops.mesh) if name == "M" else getattr(ops, name)
         if sp.issparse(want):
-            assert got.format == want.format, name
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+            assert_same_matrix(got, want, name)
         else:
             assert np.array_equal(got, want), name
 

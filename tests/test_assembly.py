@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 
 from mgopt.assembly import (
+    GraphFactor,
     ProblemData,
     SingularOperatorError,
     assemble_load,
@@ -27,6 +28,7 @@ from mgopt.pde import solve_state
 from helpers import (
     assembly_meshes,
     assert_same_arrays,
+    assert_same_matrix,
     controlled_meshes,
     edge_node_dofs,
     element_load,
@@ -210,15 +212,22 @@ def test_build_operators_equals_incidence_assembly_bit_for_bit(mesh_c0_loads):
     mesh, c0, (f, ybar) = mesh_c0_loads
     data = ProblemData(beta=1.0, c0=c0, f=f, ybar=ybar)
     ops = build_operators(mesh, data)
-    assert_same_arrays(ops, incidence_operators(mesh, data))
-    # K_FF and K_FD take M_FF's and M_FD's index arrays, unless an entry of
-    # K cancels: then they hold their own and M's blocks keep theirs
-    # (compared above); the mesh holds no pattern once assembly is done
-    cancels = ops.K.nnz < assemble_stiffness(mesh).nnz
+    expected = incidence_operators(mesh, data)
+    # K keeps an exact cancellation as a stored zero, which the incidence
+    # sum drops: K and its blocks equal the reference without them
+    for name in ("K", "K_FF", "K_FD"):
+        got = getattr(ops, name).copy()
+        got.eliminate_zeros()
+        assert_same_matrix(got, expected.pop(name), name)
+    assert_same_arrays(ops, expected)
+    # K has M's pattern, and K_FF and K_FD take M_FF's and M_FD's index
+    # arrays; the mesh holds no pattern once assembly is done
+    m = assemble_mass(mesh)
+    assert np.array_equal(ops.K.indices, m.indices) and np.array_equal(ops.K.indptr, m.indptr)
     for k_block, m_block in ((ops.K_FF, ops.M_FF), (ops.K_FD, ops.M_FD)):
         for part in ("indices", "indptr"):
             k_part, m_part = getattr(k_block, part), getattr(m_block, part)
-            assert np.shares_memory(k_part, m_part) == (not cancels and k_part.size > 0)
+            assert np.shares_memory(k_part, m_part) == (k_part.size > 0)
     assert mesh._operator_pattern is None
 
 
@@ -323,7 +332,7 @@ def assert_kff_solves_match_spsolve(ops, seed=0):
     # a vector right-hand side against SuperLU, to 1e-10 relative; a block of
     # right-hand sides is refused
     fac = ops.kff_factor()
-    assert fac.kind == "graph"
+    assert isinstance(fac._lu, GraphFactor)
     b = np.random.default_rng(seed).standard_normal((ops.n_free, 3))
     x = fac.solve(b[:, 0])
     assert x.shape == (ops.n_free,)

@@ -579,6 +579,25 @@ def test_gmres_ideal_preconditioner_regression():
     assert res.iterations == 3
 
 
+def test_gmres_checks_a_failed_last_candidate_once():
+    # apply_ap = d q and apply_a = (d + 1e-6) x disagree, so the Arnoldi
+    # process on d breaks down at step 8 with a candidate whose true
+    # residual is 1.9e-7: it is checked once, and not formed again after
+    # the loop
+    d = np.arange(1.0, 9.0)
+    calls = []
+
+    def apply_a(x):
+        calls.append(1)
+        return (d + 1e-6) * x
+
+    b = np.random.default_rng(0).standard_normal(8)
+    res = gmres(apply_a, b, apply_ap=lambda q: d * q, tol=1e-10)
+    assert res.iterations == 8 and not res.converged
+    assert 1e-7 < res.true_residual < 1e-6
+    assert len(calls) == 1
+
+
 def test_gmres_keeps_one_basis():
     # a fixed preconditioner needs no second basis Z = P^{-1} V: x = P^{-1} (V y)
     n, max_it = 20000, 40
