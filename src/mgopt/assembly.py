@@ -6,9 +6,9 @@ by a few numbers per edge and per vertex: the stiffness matrix by the weight
 All operators share one sparse pattern per mesh (``_Pattern``): an interior
 DOF's row holds itself and its two neighbours on its edge, a vertex's row
 holds itself and the DOF next to it on every incident edge.
-``build_operators`` forms K = A + M_c0 entry by entry on that pattern and
-cuts the free/Dirichlet blocks out of it along the edge chains, with no
-sparse product, slice or format conversion.
+``build_operators`` forms K = A + M_c0 entry by entry on that pattern, with
+no sparse product, and slices the free/Dirichlet blocks of K and M out of
+one matrix of entry positions on it.
 
 The graph factor of K_FF eliminates every edge's interior DOFs (Kron
 reduction onto the vertices) and holds H = K_FF^{-1} K_FD condensed onto
@@ -141,68 +141,6 @@ class _Pattern:
         np.take(np.concatenate((off, vertex_diag)), self.v_slot, out=data[chains.size :])
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
-    def blocks(self, mesh: ExtendedMesh) -> tuple[_Block, _Block, _Block]:
-        """The FF, FD and DD blocks of operators on this pattern: each sorted
-        by column, FD in CSC (its DF block is ``fd.T``).
-
-        An interior row [d, right, left] sorts to [left, d, right], and on the
-        first node of an edge, whose left neighbour is the tail vertex, to d
-        and then its two neighbours in DOF order; entries in Dirichlet
-        columns drop out.  The few vertex rows are sorted directly.  Each
-        block holds the positions of its entries in the operator's data.
-        """
-        n_i, n_f, n = mesh.n_interior, mesh.n_free, mesh.n_dof
-        n_d = n - n_f
-        first = _edge_chains(mesh)[3]
-        # the vertex rows, sorted by row and column, split by block
-        at = np.arange(3 * n_i, self.indptr[-1])
-        rows = np.repeat(np.arange(n_i, n), np.diff(self.indptr[n_i:]))
-        v_cols = self.indices[3 * n_i :]
-        order = np.lexsort((v_cols, rows))
-        at, rows, v_cols = at[order], rows[order], v_cols[order]
-        free_row, free_col = rows < n_f, v_cols < n_f
-        ff, fd, dd = free_row & free_col, ~free_row & free_col, ~free_row & ~free_col
-        # FF: positions of [left, d, right] in the interior rows [d, right,
-        # left], on a first node of d and its neighbours in DOF order, then
-        # the Kirchhoff rows; entries in Dirichlet columns drop out
-        take = np.arange(3 * n_i + np.count_nonzero(ff))
-        take[: 3 * n_i].reshape(-1, 3)[:] += (2, -1, -1)
-        right, left = self.indices[3 * first + 1], self.indices[3 * first + 2]
-        take[3 * first[:, None] + np.arange(3)] = 3 * first[:, None] + np.where(
-            (right < left)[:, None], (0, 1, 2), (0, 2, 1)
-        )
-        take[3 * n_i :] = at[ff]
-        cols = self.indices[take]
-        keep = cols < n_f
-        counts = np.concatenate((
-            3 - np.bincount(np.flatnonzero(~keep) // 3, minlength=n_i),
-            np.bincount(rows[ff] - n_i, minlength=n_f - n_i),
-        ))
-        d_rows = rows - n_f
-        fd_counts, dd_counts = (np.bincount(d_rows[part], minlength=n_d) for part in (fd, dd))
-        return (
-            _Block(take[keep], cols[keep], counts, (n_f, n_f), sp.csr_matrix),
-            _Block(at[fd], v_cols[fd], fd_counts, (n_f, n_d), sp.csc_matrix),
-            _Block(at[dd], v_cols[dd] - n_f, dd_counts, (n_d, n_d), sp.csr_matrix),
-        )
-
-
-class _Block:
-    """A block of an operator on a mesh's pattern: the positions of its
-    entries in the operator's data, and its own CSR or CSC storage, given
-    its entry count per row (per column in CSC)."""
-
-    def __init__(self, take, indices, counts, shape, fmt):
-        self.take, self.indices, self.shape, self.fmt = take, indices, shape, fmt
-        self.indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=self.indptr[1:])
-
-    def of(self, full: sp.csr_matrix):
-        """The block of the operator ``full``.  It takes this block's own
-        index arrays, shared by every block so taken, which none of them may
-        then change in place."""
-        return self.fmt((full.data[self.take], self.indices, self.indptr), shape=self.shape)
-
 
 def _pattern(mesh: ExtendedMesh) -> _Pattern:
     """The mesh's operator pattern: the one build_operators holds on the mesh
@@ -329,8 +267,9 @@ class FeOperators:
     ``M_FD.T``.  The FD blocks are kept in CSC, so both ``K_FD`` and its
     transpose multiply by looping over the n_D controls, not the n_f free nodes.
     M is kept as its three blocks only (``assemble_mass`` gives it whole).
-    K has M's pattern, an exact cancellation kept as a stored zero, and
-    K_FF and K_FD share their index arrays with M_FF and M_FD.
+    K has M's pattern, an exact cancellation kept as a stored zero.  Every
+    block is a slice of that pattern, sorted by column, and K_FF and K_FD
+    share their index arrays with M_FF and M_FD.
     """
 
     mesh: ExtendedMesh
@@ -655,21 +594,30 @@ def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
 
     A and M_c0 share the mesh's pattern, so K is their sum entry by entry
     and has M's pattern; an entry that cancels exactly (-1/h + c0 h/6 = 0)
-    stays stored as a zero.  The blocks are taken from K and M at positions
-    found along the edge chains, and each K block takes its M block's index
-    arrays.  The pattern is kept on the mesh only while this call assembles
-    on it.
+    stays stored as a zero.  The blocks are slices of one matrix on that
+    pattern whose entries are their own positions, each sorted by column,
+    FD in CSC.  A block of K or M takes its entries at those positions and
+    the slice's index arrays, so each K block shares its M block's.  The
+    pattern is kept on the mesh only while this call assembles on it.
     """
-    mesh._operator_pattern = pattern = _Pattern(mesh)
+    mesh._operator_pattern = _Pattern(mesh)
     try:
         m = assemble_mass(mesh)
         k = assemble_stiffness(mesh)
         k.data += assemble_mass(mesh, data.c0).data
-        blocks = pattern.blocks(mesh)
     finally:
         mesh._operator_pattern = None
-    m_ff, m_fd, m_dd = (block.of(m) for block in blocks)
-    k_ff, k_fd = (block.of(k) for block in blocks[:2])
+    n_f = mesh.n_free
+    at = sp.csr_matrix((np.arange(m.nnz, dtype=np.int32), m.indices, m.indptr), shape=m.shape)
+    blocks = (at[:n_f, :n_f], at[:n_f, n_f:].tocsc(), at[n_f:, n_f:])
+    for block in blocks:
+        block.sort_indices()
+
+    def of(full, block):
+        return type(block)((full.data[block.data], block.indices, block.indptr), shape=block.shape)
+
+    m_ff, m_fd, m_dd = (of(m, block) for block in blocks)
+    k_ff, k_fd = (of(k, block) for block in blocks[:2])
     return FeOperators(
         mesh=mesh,
         data=data,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -214,6 +215,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        # a study's CSV needs its directory: refused before the study runs
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():
+            raise ValueError(f"output directory does not exist: {Path(out).parent}")
         # every command reads the graph options
         graph = resolve_graph_spec(args.graph, n_controls=args.controls, seed=args.seed)
         return args.func(graph, args)

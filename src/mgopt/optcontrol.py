@@ -455,6 +455,19 @@ def gmres(
     return KrylovResult(x, len(r_cols), true_res <= tol, np.array(residuals), true_res, true_res)
 
 
+def _require_symmetric(apply_a, n: int) -> None:
+    """Raise ValueError unless <Av, w> = <v, Aw> on two random vectors; the
+    four probe vectors are freed on return, before MINRES allocates its own."""
+    rng = np.random.default_rng(12345)
+    vp = rng.standard_normal(n)
+    wp = rng.standard_normal(n)
+    av = np.array(apply_a(vp), dtype=float)  # a copy: the operator may reuse one buffer
+    aw = np.asarray(apply_a(wp))
+    scale = np.linalg.norm(av) * np.linalg.norm(wp) + np.linalg.norm(vp) * np.linalg.norm(aw)
+    if abs(av @ wp - vp @ aw) > 1e-10 * max(scale, 1.0):
+        raise ValueError("operator is not symmetric; MINRES requires <Av,w> = <v,Aw>")
+
+
 def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None = None) -> KrylovResult:
     """Preconditioned MINRES for symmetric (indefinite) operators.
 
@@ -465,16 +478,7 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
     """
     b, b_norm, apply_p_inv, max_it = _krylov_inputs(b, apply_p_inv, tol, max_it)
     n = b.size
-
-    rng = np.random.default_rng(12345)
-    vp = rng.standard_normal(n)
-    wp = rng.standard_normal(n)
-    av = np.array(apply_a(vp), dtype=float)  # a copy: the operator may reuse one buffer
-    aw = np.asarray(apply_a(wp))
-    scale = np.linalg.norm(av) * np.linalg.norm(wp) + np.linalg.norm(vp) * np.linalg.norm(aw)
-    if abs(av @ wp - vp @ aw) > 1e-10 * max(scale, 1.0):
-        raise ValueError("operator is not symmetric; MINRES requires <Av,w> = <v,Aw>")
-
+    _require_symmetric(apply_a, n)
     if b_norm == 0.0:
         return KrylovResult(np.zeros(n), 0, True, np.zeros(1), 0.0, 0.0)
 

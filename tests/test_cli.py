@@ -197,6 +197,21 @@ def test_iteration_study_bad_jobs_are_reported(capsys):
     assert capsys.readouterr().err == "error: jobs must be at least 1, got -2\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["iteration-study", "--ne", "4", "--beta", "1e-2"],
+    ["convergence-study", "--ne", "4,8", "--ref-ne", "32"],
+    ["eig-probe", "--ne", "2", "--beta", "1e-2"],
+])
+def test_study_out_in_a_missing_directory_is_refused(tmp_path, capsys, args):
+    # refused before the study runs: no table printed, no error after it
+    missing = tmp_path / "missing"
+    code = cli_main([*args, "--graph", "star:3", "--out", str(missing / "x.csv")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory does not exist: {missing}\n"
+
+
 def test_eig_probe_cli(tmp_path, capsys, monkeypatch):
     writes = []
     write_csv = EigProbeResult.write_csv
