@@ -3,9 +3,10 @@
 Every interval of an edge has the same length h_e, so an operator is given
 by a few numbers per edge and per vertex: the stiffness matrix by the weight
 1/h_e, a mass matrix with coefficient c by c_e h_e (its entries times 1/6).
-All operators share one sparse pattern per mesh (``_Pattern``): an interior
-DOF's row holds itself and its two neighbours on its edge, a vertex's row
-holds itself and the DOF next to it on every incident edge.
+All operators are stored on one sparse pattern per mesh (``_Pattern``,
+built by each ``assemble_*`` call): an interior DOF's row holds itself and
+its two neighbours on its edge, a vertex's row holds itself and the DOF
+next to it on every incident edge.
 ``build_operators`` forms K = A + M_c0 entry by entry on that pattern, with
 no sparse product, and slices the free/Dirichlet blocks of K and M out of
 one matrix of entry positions on it.
@@ -77,8 +78,7 @@ class _Pattern:
     M and the loads (sorting M's columns moves 75 to 155 vertex entries of
     ``ybar_vec`` on the benchmark meshes).
 
-    ``build_operators`` holds one on the mesh while it assembles and drops
-    it when done; any other ``assemble_*`` call builds its own.
+    Each ``assemble_*`` call builds its own; the mesh keeps none.
     """
 
     def __init__(self, mesh: ExtendedMesh):
@@ -142,22 +142,14 @@ class _Pattern:
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
 
 
-def _pattern(mesh: ExtendedMesh) -> _Pattern:
-    """The mesh's operator pattern: the one build_operators holds on the mesh
-    while it assembles three operators on it, else a new one, not kept."""
-    if mesh._operator_pattern is None:
-        return _Pattern(mesh)
-    return mesh._operator_pattern
-
-
 def assemble_stiffness(mesh: ExtendedMesh) -> sp.csr_matrix:
     """Stiffness matrix of the refined graph in global DOF order.
 
     Every interval adds 1/h_e to the diagonal at both its ends and -1/h_e
     between them; stored on the mesh's operator pattern (``_Pattern``),
-    which each call builds anew outside ``build_operators``.
+    which each call builds anew.
     """
-    pattern = _pattern(mesh)
+    pattern = _Pattern(mesh)
     w = 1.0 / mesh.h_per_edge
     return pattern.matrix(2.0 * w, -w, pattern.vertex_sums(w))
 
@@ -172,7 +164,7 @@ def assemble_mass(mesh: ExtendedMesh, coefficient=1.0) -> sp.csr_matrix:
     c = _per_edge(mesh, coefficient, "coefficient")
     if np.any(c < 0):
         raise ValueError("mass coefficient must be nonnegative")
-    pattern = _pattern(mesh)
+    pattern = _Pattern(mesh)
     w = c * mesh.h_per_edge
     return pattern.matrix((4.0 * w) * _SIXTH, w * _SIXTH, (2.0 * pattern.vertex_sums(w)) * _SIXTH)
 
@@ -216,9 +208,12 @@ def l2_distance_sq(mesh: ExtendedMesh, y, g) -> float:
     """||y - g||^2_{L2} of nodal values y and edgewise data g, interval by interval.
 
     g is sampled on each edge on its own, as in ``assemble_load``; exact
-    whenever g is linear on each interval.
+    whenever g is linear on each interval.  y must hold ``mesh.n_dof``
+    values (ValueError otherwise).
     """
     y = np.asarray(y, dtype=float)
+    if y.shape != (mesh.n_dof,):
+        raise ValueError(f"expected {mesh.n_dof} nodal values, got {y.shape}")
     tail, head = interval_samples(mesh, g)
     tail_dof, head_dof = interval_end_dofs(mesh)
     a = y[tail_dof] - tail
@@ -597,16 +592,12 @@ def build_operators(mesh: ExtendedMesh, data: ProblemData) -> FeOperators:
     stays stored as a zero.  The blocks are slices of one matrix on that
     pattern whose entries are their own positions, each sorted by column,
     FD in CSC.  A block of K or M takes its entries at those positions and
-    the slice's index arrays, so each K block shares its M block's.  The
-    pattern is kept on the mesh only while this call assembles on it.
+    the slice's index arrays, so each K block shares its M block's.  Each
+    of the three ``assemble_*`` calls builds the pattern anew.
     """
-    mesh._operator_pattern = _Pattern(mesh)
-    try:
-        m = assemble_mass(mesh)
-        k = assemble_stiffness(mesh)
-        k.data += assemble_mass(mesh, data.c0).data
-    finally:
-        mesh._operator_pattern = None
+    m = assemble_mass(mesh)
+    k = assemble_stiffness(mesh)
+    k.data += assemble_mass(mesh, data.c0).data
     n_f = mesh.n_free
     at = sp.csr_matrix((np.arange(m.nnz, dtype=np.int32), m.indices, m.indptr), shape=m.shape)
     blocks = (at[:n_f, :n_f], at[:n_f, n_f:].tocsc(), at[n_f:, n_f:])

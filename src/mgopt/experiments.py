@@ -173,7 +173,7 @@ def iteration_study(cfg: StudyConfig) -> IterationStudy:
     def run_cell(ops, n_e, beta):
         data = cfg.problem_data(beta)
         t0 = time.perf_counter()
-        result, kkt, _ = solve_kkt(
+        result, kkt = solve_kkt(
             ops, data, solver=cfg.solver, precon=cfg.precon,
             tol=cfg.tol, max_it=cfg.max_it,
         )

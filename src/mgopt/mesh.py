@@ -16,9 +16,7 @@ class ExtendedMesh:
     DOF layout: interior nodes first (edge by edge, j = 1..n_e-1 within an
     edge), then Kirchhoff vertices, then Dirichlet vertices, both in ascending
     vertex order.  Interior node (e, j) sits at arc length j*h_e from the tail
-    of edge e.  Instances are immutable after construction, but for the
-    operator pattern that ``assembly.build_operators`` holds on them while it
-    assembles.
+    of edge e.  Instances are immutable after construction.
     """
 
     def __init__(self, graph: MetricGraph, n_intervals):
@@ -46,9 +44,6 @@ class ExtendedMesh:
         # the DOFs of every edge's tail and head vertex, one row per edge
         self.end_dofs = vertex_dof[np.asarray(graph.edges, dtype=int).reshape(-1, 2)]
         self.n_dof = self.n_interior + graph.n_vertices
-        # the sparse storage that ``assembly`` builds every operator on, set
-        # only while ``build_operators`` assembles its three operators on it
-        self._operator_pattern = None
 
     @property
     def n_free(self) -> int:

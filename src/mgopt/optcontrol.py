@@ -12,6 +12,7 @@ flip it back on output so that b*u equals the variational vertex flux of p.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -50,14 +51,13 @@ def normalize_precon_kind(kind: str) -> str:
 class KktSystem:
     """Matrix-free application of the symmetric 3x3 saddle-point operator.
 
-    A view of the operators at one beta: the blocks and sizes are read from
-    ``ops``.  The DF blocks, ``K_FD.T`` and ``M_FD.T``, are CSR views built
-    once here instead of on every apply.
+    A view of the operators at one beta: the blocks, sizes and right-hand
+    side (ybar_F, ybar_D, f_F, formed on first use) are read from ``ops``.
+    The DF blocks, ``K_FD.T`` and ``M_FD.T``, are CSR views built once here.
     """
 
     ops: FeOperators
     beta: float
-    rhs: np.ndarray
     _m_df: sp.csr_matrix = field(init=False, repr=False)
     _k_df: sp.csr_matrix = field(init=False, repr=False)
 
@@ -68,6 +68,10 @@ class KktSystem:
     @property
     def dim(self) -> int:
         return 2 * self.ops.n_free + self.ops.n_dirichlet
+
+    @functools.cached_property
+    def rhs(self) -> np.ndarray:
+        return np.concatenate([self.ops.ybar_F, self.ops.ybar_D, self.ops.f_F])
 
     def split(self, x):
         nf, nd = self.ops.n_free, self.ops.n_dirichlet
@@ -133,7 +137,7 @@ def build_kkt(ops: FeOperators, data: ProblemData) -> KktSystem:
     c0, f and ybar must be those ``ops`` was assembled with (ValueError otherwise).
     """
     _require_assembled_data(ops, data)
-    return KktSystem(ops, data.beta, np.concatenate([ops.ybar_F, ops.ybar_D, ops.f_F]))
+    return KktSystem(ops, data.beta)
 
 
 class Preconditioner:
@@ -141,27 +145,20 @@ class Preconditioner:
 
     ``apply`` maps a residual to the preconditioned residual; inner solves are
     prefactored once at construction.  Every kind applies an SPD operator, so
-    every kind serves both GMRES and MINRES.
+    every kind serves both GMRES and MINRES.  ``product`` is A P^{-1} on the
+    same operators and beta as one callable that saves work the two applies
+    repeat, or None for every kind but ``matched_nonsymmetric``.
     """
 
-    def __init__(self, kind, n_f, n_d, apply_fn, fuse_fn=None):
+    def __init__(self, kind, n_f, n_d, apply_fn, product=None):
         self.kind = kind
         self.n_f = n_f
         self.n_d = n_d
         self._apply = apply_fn
-        self._fuse = fuse_fn
+        self.product = product
 
     def apply(self, r) -> np.ndarray:
         return self._apply(np.asarray(r, dtype=float))
-
-    def fused_product(self, kkt: KktSystem):
-        """``r -> kkt.apply(self.apply(r))`` as one callable that saves work
-        the two applies repeat, or None if this kind has none.
-
-        Only ``matched_nonsymmetric`` has one.  Raises ValueError if ``kkt``
-        is on other operators or at another beta than the preconditioner.
-        """
-        return None if self._fuse is None else self._fuse(kkt)
 
 
 def _mass_diag_schur(ops: FeOperators, beta: float):
@@ -289,28 +286,23 @@ def build_preconditioner(
         out[n_f + n_d :] = kff.solve(linalg.matvec(ops.M_FF, woodbury(r[n_f + n_d :])[0]))
         return out
 
-    def fuse_nonsym(kkt):
-        # A P^{-1} r with one K_FF solve: the third block z3 = K_FF^{-1} M_FF u
-        # enters A only through its third block column, as K_FF z3 = M_FF u,
-        # which joins M_FF z1 in the top row, and K_FD^T z3 = H^T M_FF u =
-        # q - gram s, so the second solve cancels
-        if kkt.ops is not ops:
-            raise ValueError("the KKT system is on other operators than the preconditioner")
-        if kkt.beta != beta:
-            raise ValueError(f"the KKT system is at beta {kkt.beta}, the preconditioner at {beta}")
+    # A P^{-1} r with one K_FF solve: the third block z3 = K_FF^{-1} M_FF u
+    # enters A only through its third block column, as K_FF z3 = M_FF u,
+    # which joins M_FF z1 in the top row, and K_FD^T z3 = H^T M_FF u =
+    # q - gram s, so the second solve cancels.  The view is its own, so
+    # the product is always on these operators and this beta
+    kkt = KktSystem(ops, beta)
 
-        def product(r):
-            r = np.asarray(r, dtype=float)
-            z1 = np.divide(r[:n_f], d_m)
-            z2 = dsm_fact.solve(r[n_f : n_f + n_d])
-            u, q, s = woodbury(r[n_f + n_d :])
-            u += z1  # not z1 += u: the K_FF z1 row needs z1 as P^{-1} gives it
-            q -= cond.gram @ s
-            return kkt._rows(u, z1, z2, q)
+    def product(r):
+        r = np.asarray(r, dtype=float)
+        z1 = np.divide(r[:n_f], d_m)
+        z2 = dsm_fact.solve(r[n_f : n_f + n_d])
+        u, q, s = woodbury(r[n_f + n_d :])
+        u += z1  # not z1 += u: the K_FF z1 row needs z1 as P^{-1} gives it
+        q -= cond.gram @ s
+        return kkt._rows(u, z1, z2, q)
 
-        return product
-
-    return Preconditioner("matched_nonsymmetric", n_f, n_d, apply_nonsym, fuse_fn=fuse_nonsym)
+    return Preconditioner("matched_nonsymmetric", n_f, n_d, apply_nonsym, product)
 
 
 @dataclass(eq=False)
@@ -609,12 +601,15 @@ def solve_kkt(
     tol: float = 1e-8,
     max_it: int | None = None,
 ):
-    """Build and solve the saddle-point system; returns (result, kkt, preconditioner).
+    """Build and solve the saddle-point system; returns (result, kkt).
 
-    Raises ValueError if c0, f or ybar differ from those ``ops`` was assembled
-    with, and SingularOperatorError, naming its vertices, for a graph component
-    with no Dirichlet node and c0 = 0, whatever the preconditioner.
+    Raises ValueError for an unknown solver, before anything is built, and
+    if c0, f or ybar differ from those ``ops`` was assembled with, and
+    SingularOperatorError, naming its vertices, for a graph component with
+    no Dirichlet node and c0 = 0, whatever the preconditioner.
     """
+    if solver not in ("gmres", "minres"):
+        raise ValueError(f"unknown solver {solver!r}")
     ops.require_coercive()
     kkt = build_kkt(ops, data)
     pc = build_preconditioner(precon, ops, data)
@@ -623,14 +618,10 @@ def solve_kkt(
         # preconditioned runs get a generous cap never below the system size
         max_it = ops.mesh.n_dof if pc.kind == "none" else min(kkt.dim, 1000)
     if solver == "gmres":
-        result = gmres(
-            kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it, apply_ap=pc.fused_product(kkt)
-        )
-    elif solver == "minres":
-        result = minres(kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it)
+        result = gmres(kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it, apply_ap=pc.product)
     else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return result, kkt, pc
+        result = minres(kkt.apply, kkt.rhs, pc.apply, tol=tol, max_it=max_it)
+    return result, kkt
 
 
 def solve_ocp(
@@ -670,7 +661,7 @@ def solve_ocp_assembled(
     the objective and the optimality defect are those at ``data.beta``.
     """
     t0 = time.perf_counter()
-    result, kkt, _ = solve_kkt(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)
+    result, kkt = solve_kkt(ops, data, solver=solver, precon=precon, tol=tol, max_it=max_it)
     mesh = ops.mesh
     y_f, u, p_flipped = kkt.split(result.x)
     y = np.concatenate([y_f, u])

@@ -30,17 +30,19 @@ def solve_state(ops: FeOperators, u=None, f_vec=None) -> StateSolution:
     """Solve the discrete state equation for Dirichlet data u and load f_vec.
 
     The free values solve K_FF y_F = f_F - K_FD u, one K_FF solve;
-    Dirichlet values are u.
+    Dirichlet values are u.  f_vec holds ``n_dof`` loads (ValueError otherwise).
     """
     mesh = ops.mesh
     nf, nd = ops.n_free, ops.n_dirichlet
     u = np.zeros(nd) if u is None else np.asarray(u, dtype=float)
     if u.shape != (nd,):
         raise ValueError(f"expected {nd} Dirichlet values, got {u.shape}")
-    f_free = np.zeros(nf) if f_vec is None else np.asarray(f_vec, dtype=float)[:nf]
+    f_vec = np.zeros(mesh.n_dof) if f_vec is None else np.asarray(f_vec, dtype=float)
+    if f_vec.shape != (mesh.n_dof,):
+        raise ValueError(f"expected a load of {mesh.n_dof} values, got {f_vec.shape}")
 
     y = np.empty(mesh.n_dof)
-    y[:nf] = ops.kff_factor().solve(f_free - ops.K_FD @ u)
+    y[:nf] = ops.kff_factor().solve(f_vec[:nf] - ops.K_FD @ u)
     y[nf:] = u
     return StateSolution(PiecewiseLinearFunction(mesh, y))
 

@@ -211,6 +211,7 @@ def test_build_operators_equals_incidence_assembly_bit_for_bit(mesh_c0_loads):
     # per-edge and sampled loads
     mesh, c0, (f, ybar) = mesh_c0_loads
     data = ProblemData(beta=1.0, c0=c0, f=f, ybar=ybar)
+    held = dict(vars(mesh))
     ops = build_operators(mesh, data)
     expected = incidence_operators(mesh, data)
     # K keeps an exact cancellation as a stored zero, which the incidence
@@ -221,14 +222,15 @@ def test_build_operators_equals_incidence_assembly_bit_for_bit(mesh_c0_loads):
         assert_same_matrix(got, expected.pop(name), name)
     assert_same_arrays(ops, expected)
     # K has M's pattern, and K_FF and K_FD take M_FF's and M_FD's index
-    # arrays; the mesh holds no pattern once assembly is done
+    # arrays; assembly leaves the mesh as it was, attribute for attribute
     m = assemble_mass(mesh)
     assert np.array_equal(ops.K.indices, m.indices) and np.array_equal(ops.K.indptr, m.indptr)
     for k_block, m_block in ((ops.K_FF, ops.M_FF), (ops.K_FD, ops.M_FD)):
         for part in ("indices", "indptr"):
             k_part, m_part = getattr(k_block, part), getattr(m_block, part)
             assert np.shares_memory(k_part, m_part) == (k_part.size > 0)
-    assert mesh._operator_pattern is None
+    assert vars(mesh).keys() == held.keys()
+    assert all(vars(mesh)[name] is value for name, value in held.items())
 
 
 @pytest.mark.parametrize(
@@ -249,11 +251,10 @@ def test_build_operators_equals_incidence_assembly_on_benchmark_meshes(graph, n_
 
 
 def held_bytes(ops) -> int:
-    """Bytes of the distinct buffers that ``ops`` and its mesh's operator
-    pattern hold, each counted once however many arrays view it."""
-    pattern = ops.mesh._operator_pattern
+    """Bytes of the distinct buffers that ``ops`` holds, each counted once
+    however many arrays view it."""
     arrays = []
-    for value in (*vars(ops).values(), *(vars(pattern).values() if pattern else ())):
+    for value in vars(ops).values():
         if sp.issparse(value):
             arrays += [value.data, value.indices, value.indptr]
         elif isinstance(value, np.ndarray):

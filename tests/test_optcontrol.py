@@ -407,7 +407,7 @@ def test_nonsym_fused_product_is_kkt_after_preconditioner(mesh_and_c0, draw):
     pc = build_preconditioner("nonsym", ops, data)
     v = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1))).standard_normal(kkt.dim)
     expected = kkt.apply(pc.apply(v))
-    fused = pc.fused_product(kkt)(v)
+    fused = pc.product(v)
     assert np.linalg.norm(fused - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -427,7 +427,7 @@ def test_nonsym_fused_product_on_degenerate_shapes(graph, n_e):
     pc = build_preconditioner("nonsym", ops, data)
     v = np.random.default_rng(n_e).standard_normal(kkt.dim)
     expected = kkt.apply(pc.apply(v))
-    assert np.linalg.norm(pc.fused_product(kkt)(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(pc.product(v) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_nonsym_gmres_makes_one_kff_solve_per_step(monkeypatch):
@@ -438,20 +438,15 @@ def test_nonsym_gmres_makes_one_kff_solve_per_step(monkeypatch):
     ops = build_operators(build_mesh(make_fdm_L_graph(10, n_controls=12, seed=3), 8), data)
     kff = ops.kff_factor()._lu
     solves.clear()
-    result, _, _ = solve_kkt(ops, data, "gmres", "nonsym")
+    result, _ = solve_kkt(ops, data, "gmres", "nonsym")
     assert result.converged and result.iterations > 10
     assert sum(f is kff for f in solves) == result.iterations + 2
 
 
-def test_fused_product_needs_the_preconditioners_operators_and_beta():
+def test_only_nonsym_has_a_fused_product():
     ops, data = tiny_star_ops(beta=1e-2)
-    pc = build_preconditioner("nonsym", ops, data)
-    with pytest.raises(ValueError, match="at beta 0.001, the preconditioner at 0.01"):
-        pc.fused_product(build_kkt(ops, replace(data, beta=1e-3)))
-    with pytest.raises(ValueError, match="other operators"):
-        pc.fused_product(build_kkt(build_operators(ops.mesh, data), data))
     for kind in ("none", "ideal", "sym"):
-        assert build_preconditioner(kind, ops, data).fused_product(build_kkt(ops, data)) is None
+        assert build_preconditioner(kind, ops, data).product is None
 
 
 def test_condensation_without_interior_or_kirchhoff_dofs_solves():
@@ -676,7 +671,7 @@ def test_gmres_extreme_beta_true_residual(beta, precon):
     # the residual is taken against the dense KKT matrix, apart from the solver
     data = ProblemData(beta=beta, c0=2.0, f=1.5, ybar=1.0)
     ops = build_operators(build_mesh(make_fdm_L_graph(10, seed=1), 8), data)
-    res, kkt, _ = solve_kkt(ops, data, "gmres", precon, tol=1e-8)
+    res, kkt = solve_kkt(ops, data, "gmres", precon, tol=1e-8)
     assert res.converged
     rhs = kkt.rhs
     assert np.linalg.norm(rhs - kkt.as_dense() @ res.x) <= 1e-8 * np.linalg.norm(rhs)
@@ -748,10 +743,10 @@ def test_minres_matches_conjugate_residual_oracle():
 def test_minres_agrees_with_gmres_on_kkt():
     # every kind is SPD, so MINRES takes each of them
     ops, data = tiny_star_ops(leaves=3, n_e=4)
-    res_g, kkt, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym", tol=1e-10)
+    res_g, kkt = solve_kkt(ops, data, solver="gmres", precon="nonsym", tol=1e-10)
     assert res_g.converged
     for kind in PRECONDITIONER_KINDS:
-        res_m, _, _ = solve_kkt(ops, data, solver="minres", precon=kind, tol=1e-10)
+        res_m, _ = solve_kkt(ops, data, solver="minres", precon=kind, tol=1e-10)
         assert res_m.converged
         diff = np.linalg.norm(res_g.x - res_m.x) / np.linalg.norm(res_g.x)
         assert diff <= 1e-6
@@ -762,13 +757,13 @@ def test_stop_residual_is_the_norm_each_solver_stops_on():
     # ``residual`` stays the true ||b - A x|| / ||b||.  GMRES stops on the
     # verified true residual, so both numbers are the same there.
     ops, data = tiny_star_ops(leaves=3, n_e=8)
-    res, kkt, _ = solve_kkt(ops, data, solver="minres", precon="sym")
+    res, kkt = solve_kkt(ops, data, solver="minres", precon="sym")
     assert res.converged
     assert res.stop_residual == res.residuals[-1] <= 1e-8
     assert res.true_residual == float(np.linalg.norm(kkt.rhs - kkt.apply(res.x)) / np.linalg.norm(kkt.rhs))
     stats = solve_ocp_assembled(ops, data, solver="minres", precon="sym").stats
     assert (stats.stop_residual, stats.residual) == (res.stop_residual, res.true_residual)
-    res_g, _, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym")
+    res_g, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym")
     assert res_g.stop_residual == res_g.true_residual <= 1e-8
     assert solve_ocp_assembled(ops, data).stats.stop_residual == res_g.true_residual
 
@@ -826,17 +821,21 @@ def test_minres_with_nonsym_on_a_fine_mesh():
     g = make_fdm_L_graph(20, n_controls=40, seed=0)
     data = ProblemData(beta=1e-3, c0=2.0, f=1.5, ybar=1.0)
     ops = build_operators(build_mesh(g, 128), data)
-    res_m, kkt, _ = solve_kkt(ops, data, solver="minres", precon="nonsym")
-    res_g, _, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym")
+    res_m, kkt = solve_kkt(ops, data, solver="minres", precon="nonsym")
+    res_g, _ = solve_kkt(ops, data, solver="gmres", precon="nonsym")
     assert res_m.converged and res_m.iterations <= 24
     u_m, u_g = kkt.split(res_m.x)[1], kkt.split(res_g.x)[1]
     assert np.linalg.norm(u_m - u_g) <= 1e-6 * np.linalg.norm(u_g)
 
 
-def test_solve_kkt_unknown_solver():
+def test_solve_kkt_unknown_solver(monkeypatch):
+    # refused before the preconditioner (graph factor, condensation) is built
+    built = []
+    monkeypatch.setattr(optcontrol, "build_preconditioner", lambda *args: built.append(args))
     ops, data = tiny_star_ops()
-    with pytest.raises(ValueError, match="solver"):
+    with pytest.raises(ValueError, match="unknown solver 'jacobi'"):
         solve_kkt(ops, data, solver="jacobi")
+    assert built == []
 
 
 def test_solve_ocp_zero_data_gives_zero():
@@ -1000,6 +999,16 @@ def test_objective_integrates_per_edge_ybar_edgewise():
     ops = build_operators(build_mesh(g, 4), ProblemData(beta=1.0, ybar=ybar))
     expected = 0.5 * float(ybar**2 @ g.lengths)
     assert abs(objective_value(ops, np.zeros(ops.mesh.n_dof), np.zeros(g.n_dirichlet)) - expected) <= 1e-14
+
+
+def test_objective_refuses_nodal_values_of_another_length():
+    # one value per DOF: extra entries are not ignored
+    g = make_star(3)
+    ops = build_operators(build_mesh(g, 4), ProblemData(beta=1.0))
+    n_dof = ops.mesh.n_dof
+    for y in (np.ones(n_dof + 7), np.ones(n_dof - 1)):
+        with pytest.raises(ValueError, match=f"expected {n_dof} nodal values, got \\({y.size},\\)"):
+            objective_value(ops, y, np.zeros(g.n_dirichlet))
 
 
 def test_reduced_oracle_single_control_closed_form():

@@ -86,6 +86,16 @@ def test_state_solve_makes_one_kff_solve(monkeypatch):
     assert sum(fac is kff for fac in calls) == 1
 
 
+def test_state_refuses_a_load_of_another_length():
+    # one load per DOF: neither cut to the free DOFs nor left to numpy's
+    # broadcasting
+    ops = build(make_star(3), 4, c0=1.0, f=2.0)
+    n_dof = ops.mesh.n_dof
+    for f_vec in (np.ones(n_dof + 5), np.ones(ops.n_free - 1)):
+        with pytest.raises(ValueError, match=f"load of {n_dof} values, got \\({f_vec.size},\\)"):
+            solve_state(ops, f_vec=f_vec)
+
+
 def test_state_not_coercive():
     g = MetricGraph(4, ((0, 1), (0, 2), (0, 3)), np.ones(3))  # a star with no Dirichlet node
     ops = build(g, 2, c0=0.0)
