@@ -13,8 +13,9 @@ one matrix of entry positions on it.
 
 The graph factor of K_FF eliminates every edge's interior DOFs (Kron
 reduction onto the vertices) and holds H = K_FF^{-1} K_FD condensed onto
-them; the vertex condensation adds the parts of H^T M_FF H.  All come from
-each edge's two end responses.
+them: a lift built from each edge's two end responses, and S and R from
+one sparse product of K_FF's vertex rows with it.  The vertex condensation
+adds the parts of H^T M_FF H, edge by edge from the same end responses.
 """
 
 from __future__ import annotations
@@ -363,7 +364,8 @@ class GraphFactor:
     LAPACK dpttrf factor.  W = K_II^{-1} K_IV and Z = K_II^{-1} K_ID hold
     the two end responses of every edge; ``lift`` is [[-W, Z], [I, 0]],
     ``s_factor`` the Cholesky-mode factor of S = K_VV - K_VI W and ``r`` is
-    R = K_VD - K_VI Z.  A solve has two parts, the chain part
+    R = K_VD - K_VI Z, both read off [K_VI, K_VV] lift = [S, K_VI Z]; ``k_vi``
+    is K_VI, a slice of K_FF.  A solve has two parts, the chain part
     x_I0 = K_II^{-1} b_I and the vertex part x_V = S^{-1}(b_V - K_VI x_I0),
     and is x = [x_I0; 0] + lift [x_V; 0].  H = K_FF^{-1} K_FD, which reads
     only K, is H s = lift [S^{-1} R s; s] (``minus_h``); ``r_t`` is R^T in CSR.
@@ -410,11 +412,10 @@ def factor_graph(ops: FeOperators) -> GraphFactor:
     """Static condensation of K_FF onto the Kirchhoff vertices (Kron reduction).
 
     One dpttrs solve with the indicators of every edge's first and last
-    interior node gives all end responses, hence the sparse lift.  K_VI
-    times the lift's interior rows adds each edge's 2 x 2 block of end
-    couplings times end responses on its end vertices: its Kirchhoff
-    columns added to K_VV give S, its Dirichlet columns taken from K_VD
-    give R.
+    interior node gives all end responses, hence the sparse lift.  The
+    Kirchhoff rows of K_FF times the lift are [S, K_VI Z], one sparse
+    product: its Kirchhoff columns are S, and its Dirichlet columns taken
+    from K_VD give R.
     """
     mesh = ops.mesh
     n_i, n_f = mesh.n_interior, ops.n_free
@@ -450,31 +451,17 @@ def factor_graph(ops: FeOperators) -> GraphFactor:
     indptr = np.arange(n_f + 1, dtype=np.int32)
     indptr += np.minimum(indptr, n_i)
     lift = sp.csr_matrix((data, indices, indptr), shape=(n_f, n_k + ops.n_dirichlet))
+    # [K_VI, K_VV] lift = [S, K_VI Z]
     k_v = ops.K_FF[n_i:]
-    k_vi = k_v[:, :n_i]
-    # K_VI times the lift's interior rows: every edge end's K_VI entry times
-    # the lift's two entries on the interior row next to that end
-    rows = np.repeat(np.arange(n_k), 2 * np.diff(k_vi.indptr))
-    at = 2 * k_vi.indices[:, None] + np.arange(2)
-    cols = lift.indices[at].ravel()
-    vals = (k_vi.data[:, None] * lift.data[at]).ravel()
-    to_d = cols >= n_k
-
-    def plus(block, values, row, col):
-        """``block`` plus these COO entries in CSC, duplicates summed in that order."""
-        b = block.tocoo()
-        ij = (np.concatenate((b.row, row)), np.concatenate((b.col, col)))
-        return sp.csc_matrix((np.concatenate((b.data, values)), ij), shape=b.shape)
-
-    r = plus(ops.K_FD[n_i:], -vals[to_d], rows[to_d], cols[to_d] - n_k)
+    k_v_lift = (k_v @ lift).tocsc()
+    r = (ops.K_FD[n_i:] - k_v_lift[:, n_k:]).tocsc()
     s_factor = None
     if n_k:
-        s = plus(k_v[:, n_i:], vals[~to_d], rows[~to_d], cols[~to_d])
         try:
-            s_factor = linalg.factor(s, "cholesky")
+            s_factor = linalg.factor(k_v_lift[:, :n_k], "cholesky")
         except linalg.NotPositiveDefiniteError as exc:
             raise SingularOperatorError(f"operator not coercive: {exc}") from exc
-    return GraphFactor(chain, k_vi, lift, s_factor, r, r.T)
+    return GraphFactor(chain, k_v[:, :n_i], lift, s_factor, r, r.T)
 
 
 @dataclass(frozen=True, eq=False)

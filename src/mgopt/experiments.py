@@ -30,7 +30,7 @@ from .optcontrol import (
     gmres,
     normalize_precon_kind,
     solve_kkt,
-    solve_ocp_assembled,
+    solve_ocp,
 )
 
 
@@ -229,10 +229,10 @@ def _eoc(prev: float, cur: float, ratio: float) -> float | None:
 def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
     """Errors against the prolonged reference solution on the finest grid, at one beta.
 
-    The sweep must be edgewise nested (every level must divide the reference
-    level, which defaults to four times the finest level); control errors are
-    plain Euclidean norms, state errors use the reference-mesh mass and
-    stiffness matrices.
+    Each level and the reference are solved by ``solve_ocp``.  The levels must
+    be edgewise nested (each divides the reference level, by default four
+    times the finest); control errors are plain Euclidean norms, state errors
+    use the reference-mesh mass and stiffness matrices.
     """
     if len(cfg.betas) != 1:
         raise ValueError(f"the convergence study runs at one beta, got {len(cfg.betas)}")
@@ -245,27 +245,20 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         if ref_ne % k != 0:
             raise ValueError(f"non-nested sweep: level {k} does not divide reference {ref_ne}")
 
-    beta = cfg.betas[0]
-    data = cfg.problem_data(beta)
-    ref_mesh = build_mesh(cfg.graph, ref_ne)
-    ref_ops = build_operators(ref_mesh, data)
-    ref_stiffness, ref_mass = assemble_stiffness(ref_mesh), assemble_mass(ref_mesh)
-    ref_sol = solve_ocp_assembled(
-        ref_ops, data, solver=cfg.solver, precon=cfg.precon, tol=cfg.tol, max_it=cfg.max_it
-    )
+    data = cfg.problem_data(cfg.betas[0])
+
+    def solve(n_e):
+        return solve_ocp(cfg.graph, n_e, data, cfg.solver, cfg.precon, cfg.tol, cfg.max_it)
+
+    ref_sol = solve(ref_ne)
     if not ref_sol.stats.converged:
         raise RuntimeError("reference solve did not converge")
+    ref_mesh = ref_sol.y.mesh
+    ref_stiffness, ref_mass = assemble_stiffness(ref_mesh), assemble_mass(ref_mesh)
 
     records: list[ConvergenceRecord] = []
     for n_e in levels:
-        if n_e == ref_ne:
-            sol = ref_sol
-            ops = ref_ops
-        else:
-            ops = build_operators(build_mesh(cfg.graph, n_e), data)
-            sol = solve_ocp_assembled(
-                ops, data, solver=cfg.solver, precon=cfg.precon, tol=cfg.tol, max_it=cfg.max_it
-            )
+        sol = ref_sol if n_e == ref_ne else solve(n_e)
         err_u = float(np.linalg.norm(ref_sol.u - sol.u))
         e = ref_sol.y.values - prolong(sol.y, ref_mesh).values
         l2 = l2_norm(ref_mass, e)
@@ -273,8 +266,8 @@ def convergence_study(cfg: StudyConfig) -> list[ConvergenceRecord]:
         records.append(
             ConvergenceRecord(
                 n_e=n_e,
-                n_dof=ops.mesh.n_dof,
-                h=ops.mesh.h_max,
+                n_dof=sol.stats.n_dof,
+                h=sol.y.mesh.h_max,
                 err_u=err_u,
                 err_y_l2=l2,
                 err_y_h1=math.hypot(l2, semi),

@@ -387,9 +387,9 @@ def gmres(
         # C order: scipy hands LAPACK R^T in Fortran order and solves with
         # the transpose; an F-ordered R takes LAPACK's untransposed path,
         # which rounds differently and moves the last bits of x
-        k = len(r_cols)
+        k = len(r_cols) - (r_cols[-1][-1] == 0.0)  # no zero diagonal enters R
         r = np.zeros((k, k))
-        for j, col in enumerate(r_cols):
+        for j, col in enumerate(r_cols[:k]):
             r[: j + 1, j] = col
         y = scipy.linalg.solve_triangular(r, g[:k], check_finite=False)
         return np.asarray(p_inv(v[:, :k] @ y), dtype=float)
@@ -422,8 +422,11 @@ def gmres(
             col[i], top = c * top + s * below, -s * top + c * below
         denom = float(np.hypot(top, h_next))
         if denom == 0.0:
-            cs.append(1.0)
-            sn.append(0.0)
+            # A P^-1 v_k lies in the span of v_0..v_{k-1}, so R gets a zero
+            # diagonal: the rotation c = 0, s = 1 keeps the residual, and the
+            # candidate is formed from the columns before this one
+            cs.append(0.0)
+            sn.append(1.0)
         else:
             cs.append(top / denom)
             sn.append(h_next / denom)
@@ -478,11 +481,9 @@ def minres(apply_a, b, apply_p_inv=None, tol: float = 1e-8, max_it: int | None =
     r2 = b.copy()
     y = np.asarray(apply_p_inv(r2), dtype=float)
     beta1_sq = float(r2 @ y)
-    if beta1_sq < 0.0:
+    if beta1_sq <= 0.0:  # b is nonzero, so an SPD preconditioner gives b.P b > 0
         raise ValueError("preconditioner is not positive definite")
     beta1 = np.sqrt(beta1_sq)
-    if beta1 == 0.0:
-        return KrylovResult(x, 0, True, np.zeros(1), 0.0, 0.0)
 
     oldb = 0.0
     beta = beta1
@@ -572,10 +573,13 @@ class OcpSolution:
 def objective_value(ops: FeOperators, y_values, u) -> float:
     """Tracking objective 0.5 ||y - ybar||_{L2}^2 + 0.5 beta |u|^2.
 
-    ybar is integrated edge by edge, as ``ops.ybar_vec`` is assembled.
+    ybar is integrated edge by edge, as ``ops.ybar_vec`` is assembled.  u
+    must hold one value per control (ValueError otherwise).
     """
     tracking = l2_distance_sq(ops.mesh, y_values, ops.data.ybar)
     u = np.asarray(u, dtype=float)
+    if u.shape != (ops.n_dirichlet,):
+        raise ValueError(f"expected {ops.n_dirichlet} control values, got {u.shape}")
     return 0.5 * tracking + 0.5 * ops.data.beta * float(u @ u)
 
 

@@ -97,6 +97,8 @@ def test_mass_rejects_negative_coefficient():
     mesh = build_mesh(single_edge(), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         assemble_mass(mesh, -1.0)
+    with pytest.raises(ValueError, match="coefficient must be a scalar or one value per edge"):
+        assemble_mass(mesh, np.ones(2))
 
 
 def test_load_constant():

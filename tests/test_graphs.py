@@ -106,6 +106,8 @@ def test_fdm_L_graph_deterministic():
 def test_fdm_L_graph_too_many_controls():
     with pytest.raises(ValueError):
         make_fdm_L_graph(4, 1000, seed=0)
+    with pytest.raises(ValueError, match="at least 4"):
+        make_fdm_L_graph(3)
 
 
 def test_fisher_yates_bounds():
@@ -173,6 +175,13 @@ def test_load_matrix_market_deduplicates(tmp_path):
     g = load_matrix_market(f, n_controls=1)
     assert g.edges == ((0, 1),)
     assert g.lengths[0] == 1.0
+    # diagonal entries and explicit zeros are no edges
+    f = _write(
+        tmp_path / "loops.mtx",
+        "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 1 1.5\n2 2 4.0\n3 2 0.0\n",
+    )
+    g = load_matrix_market(f, n_controls=1)
+    assert g.n_vertices == 3 and g.edges == ((0, 1),)
 
 
 def test_load_matrix_market_errors(tmp_path):
@@ -297,6 +306,7 @@ def test_graph_json_defaults_and_errors(tmp_path):
         ),
         ({"vertices": 3, "edges": []}, "needs a list of 'vertices'"),
         ({"vertices": []}, "needs a list of 'edges'"),
+        ({"vertices": [{"id": 0}, {"id": 2}], "edges": []}, "vertex ids must be exactly 0..1"),
         # ids are not truncated: 1.7 and 1.9 are not vertex 1
         ({"vertices": [{"id": 0}, {"id": 1.7}, {"id": 2}], "edges": []}, "vertex entry 1 .* non-integer 'id'"),
         (
@@ -313,7 +323,7 @@ def test_graph_json_defaults_and_errors(tmp_path):
         ),
     ],
     ids=["no-id", "no-v", "int-vertices", "list-edge", "text-id", "null-u", "list-v", "text-length",
-         "int-vertex-list", "no-edges", "fractional-id", "fractional-v", "fractional-u", "bool-id",
+         "int-vertex-list", "no-edges", "id-gap", "fractional-id", "fractional-v", "fractional-u", "bool-id",
          "bool-v", "bool-length"],
 )
 def test_graph_json_malformed_entries(tmp_path, payload, message):

@@ -31,6 +31,16 @@ def test_build_mesh_dof_counts():
 def test_build_mesh_rejects_zero_intervals():
     with pytest.raises(ValueError):
         build_mesh(single_edge(), 0)
+    with pytest.raises(ValueError, match="at least one interval"):
+        ExtendedMesh(make_path(3), np.array([2, 0]))
+    with pytest.raises(ValueError, match="one count per edge"):
+        ExtendedMesh(make_path(3), np.array([2, 3, 4]))
+
+
+def test_piecewise_linear_function_needs_one_value_per_dof():
+    mesh = build_mesh(single_edge(), 3)
+    with pytest.raises(ValueError, match="expected 4 nodal values, got \\(5,\\)"):
+        PiecewiseLinearFunction(mesh, np.zeros(5))
 
 
 def test_dof_order_blocks():
@@ -127,6 +137,10 @@ def test_prolong_rejects_non_nested():
     other = build_mesh(make_star(2), 6)
     with pytest.raises(ValueError, match="graph"):
         prolong(f, other)
+    # graphs are compared by structure: an equal copy passes, other lengths do not
+    assert np.array_equal(prolong(f, build_mesh(single_edge(), 6)).values, np.zeros(7))
+    with pytest.raises(ValueError, match="graph"):
+        prolong(f, build_mesh(single_edge(2.0), 6))
 
 
 def test_prolong_preserves_norms():
@@ -169,6 +183,8 @@ def test_interval_samples_keep_each_edge_value():
     assert np.allclose(tail, [0.0, 0.5, 10.0, 10.0 + 1 / 3, 10.0 + 2 / 3])
     assert np.allclose(head, [0.5, 1.0, 10.0 + 1 / 3, 10.0 + 2 / 3, 11.0])
     assert np.array_equal(interval_samples(mesh, np.array([1.0, 3.0]))[0], [1.0, 1.0, 3.0, 3.0, 3.0])
+    with pytest.raises(ValueError, match="one value per edge"):
+        interval_samples(mesh, np.array([1.0, 3.0, 5.0]))
     # the interpolant averages the two values at the shared vertex
     assert nodal_values(mesh, lambda e, x: 10.0 * e + x)[mesh.vertex_dof[1]] == pytest.approx(5.5)
 

@@ -538,6 +538,18 @@ def test_gmres_zero_rhs():
     assert np.all(res.x == 0.0)
 
 
+def test_gmres_stops_on_a_zero_rotated_diagonal():
+    # A P^-1 v_k in the span of the earlier basis vectors: the candidate is
+    # formed from the columns before it, and converged only if it meets tol
+    res = gmres(lambda x: np.zeros_like(x), np.ones(5))
+    assert np.array_equal(res.x, np.zeros(5)) and not res.converged
+    assert res.true_residual == 1.0 and np.array_equal(res.residuals, [1.0, 1.0])
+    shift = np.eye(4, k=-1)  # e_0 -> e_1 -> e_2 -> e_3 -> 0
+    res = gmres(lambda x: shift @ x, np.eye(4)[0])
+    assert np.array_equal(res.x, np.zeros(4)) and not res.converged
+    assert res.iterations == 4 and np.array_equal(res.residuals, np.ones(5))
+
+
 def test_gmres_dense_spd_vs_direct():
     rng = np.random.default_rng(2)
     m = rng.standard_normal((20, 20))
@@ -776,6 +788,9 @@ def test_minres_requires_spd_preconditioner():
     pc = build_preconditioner("nonsym", ops, data)
     with pytest.raises(ValueError, match="preconditioner is not positive definite"):
         minres(kkt.apply, kkt.rhs, lambda r: -pc.apply(r))
+    # b . P b = 0 for a nonzero b: x = 0 is no solution, so no converged start
+    with pytest.raises(ValueError, match="preconditioner is not positive definite"):
+        minres(lambda x: 2.0 * x, np.ones(4), apply_p_inv=lambda r: 0.0 * r)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -1009,6 +1024,11 @@ def test_objective_refuses_nodal_values_of_another_length():
     for y in (np.ones(n_dof + 7), np.ones(n_dof - 1)):
         with pytest.raises(ValueError, match=f"expected {n_dof} nodal values, got \\({y.size},\\)"):
             objective_value(ops, y, np.zeros(g.n_dirichlet))
+    # and one control value per Dirichlet vertex
+    y = np.zeros(n_dof)
+    for u in (np.ones(g.n_dirichlet + 3), np.ones(g.n_dirichlet - 1)):
+        with pytest.raises(ValueError, match=f"expected 3 control values, got \\({u.size},\\)"):
+            objective_value(ops, y, u)
 
 
 def test_reduced_oracle_single_control_closed_form():
@@ -1048,6 +1068,9 @@ def test_reduced_oracle_cap():
     data = ProblemData(beta=1.0)
     with pytest.raises(ValueError, match="capped at 500 controls, got 501"):
         reduced_oracle(g, 2, data)
+    # and with no control there is nothing to solve for
+    no_control = MetricGraph(2, ((0, 1),), np.ones(1))
+    assert reduced_oracle(no_control, 2, ProblemData(beta=1.0, c0=1.0)).shape == (0,)
 
 
 def test_iteration_counts_mesh_robust():

@@ -94,6 +94,9 @@ def test_state_refuses_a_load_of_another_length():
     for f_vec in (np.ones(n_dof + 5), np.ones(ops.n_free - 1)):
         with pytest.raises(ValueError, match=f"load of {n_dof} values, got \\({f_vec.size},\\)"):
             solve_state(ops, f_vec=f_vec)
+    # and one control value per Dirichlet vertex
+    with pytest.raises(ValueError, match="expected 3 Dirichlet values, got \\(4,\\)"):
+        solve_state(ops, np.ones(4))
 
 
 def test_state_not_coercive():
